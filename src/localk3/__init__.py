@@ -8,7 +8,7 @@ from .series import (LaurentPoly, MultiSeries, QZSeries, exp, log,
                      pow_binomial, qz_invert, qz_mul)
 from .invariants import (HilbTable, J_closed_00n, J_closed_r0r, N_from_J,
                          conjectural_J, hilb_euler, hilb_table)
-from .modular import DeltaSeries, delta, inv_delta, ky_rhs_times_kernel
+from .modular import DeltaSeries, delta, inv_delta
 from .ptseries import (BPSTable, ConsistencyError, PTParams, bps_extract,
                        gv_extract, ky_identity_check, ky_pairs_euler,
                        pt_borcherds, pt_main, pt_xbar)
@@ -19,7 +19,7 @@ __all__ = [
     "LaurentPoly", "MukaiVector", "MultiSeries", "N_from_J", "PTParams",
     "QZSeries", "apply_isometry", "bps_extract", "conjectural_J", "delta",
     "enumerate_effective", "exp", "gv_extract", "hilb_euler", "hilb_table",
-    "inv_delta", "ky_identity_check", "ky_pairs_euler",
-    "ky_rhs_times_kernel", "log", "mukai_pairing", "pow_binomial",
-    "pt_borcherds", "pt_main", "pt_xbar", "qz_invert", "qz_mul",
+    "inv_delta", "ky_identity_check", "ky_pairs_euler", "log",
+    "mukai_pairing", "pow_binomial", "pt_borcherds", "pt_main", "pt_xbar",
+    "qz_invert", "qz_mul",
 ]

@@ -68,10 +68,7 @@ def _mismatch_rows(pairs) -> list[dict]:
 
 
 def _compare_series(a, b) -> list:
-    keys = sorted(set(a._c) | set(b._c),
-                  key=lambda key: (key[0].weight, key[0].a, key[1]))
-    return [(cls, k, a.coeff(cls, k), b.coeff(cls, k))
-            for cls, k in keys if a.coeff(cls, k) != b.coeff(cls, k)]
+    return [(cls, k, a.coeff(cls, k), b.coeff(cls, k)) for cls, k, _ in (a - b).terms()]
 
 
 def _run_hilb(cfg: RunConfig) -> tuple[dict, list]:
@@ -98,8 +95,9 @@ def _run_xbar_verify(cfg: RunConfig) -> tuple[dict, list]:
     single = pt_main(PTParams(cfg.y_max, cfg.z_max + pad))
     squared = single.mul(single).restrict(-cfg.z_max, cfg.z_max)
     double = pt_xbar(PTParams(cfg.y_max, cfg.z_max))
+    support = {(cls, k) for s in (double, squared) for cls, k, _ in s.terms()}
     bad = _compare_series(double, squared)
-    return {"compared": len(set(double._c) | set(squared._c))}, _mismatch_rows(bad)
+    return {"compared": len(support)}, _mismatch_rows(bad)
 
 
 def _run_ky_verify(cfg: RunConfig) -> tuple[dict, list]:

@@ -135,8 +135,24 @@ def mukai_pairing(v: MukaiVector, w: MukaiVector) -> int:
     return v.beta.dot(w.beta) - v.r * w.n - w.r * v.n
 
 
+# Gram matrix of the Mukai pairing on coordinates (r, a, b, n)
+_GRAM = ((0, 0, 0, -1), (0, -2, 1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+
+_IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def _matmul(m1, m2) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sum(row[k] * m2[k][j] for k in range(4)) for j in range(4))
+                 for row in m1)
+
+
+def _coords(v: MukaiVector) -> tuple[int, int, int, int]:
+    return (v.r, v.beta.a, v.beta.b, v.n)
+
+
 class HodgeIsometry:
-    """Integral isometry of the Mukai lattice, built from four generators.
+    """Integral isometry of the Mukai lattice: a 4x4 integer matrix M on
+    (r, a, b, n) with M^T G M = G, checked once at construction.
 
     swap       (r, b, n) -> (n, b, r)
     sign_h2    (r, b, n) -> (r, -b, n)
@@ -146,68 +162,51 @@ class HodgeIsometry:
     Compositions apply right to left, like function composition.
     """
 
-    def __init__(self, kind: str, *, kernel: MukaiVector | None = None,
-                 parts: tuple[HodgeIsometry, ...] = ()):
-        if kind not in ("swap", "sign_h2", "negate_rn", "reflect", "compose"):
-            raise ValueError(f"unknown isometry kind {kind!r}")
-        if kind == "reflect":
-            if kernel is None or mukai_pairing(kernel, kernel) != -2:
-                raise ValueError("reflection kernel must have square -2")
-        self.kind = kind
-        self.kernel = kernel
-        self.parts = parts
+    def __init__(self, matrix) -> None:
+        m = tuple(tuple(row) for row in matrix)
+        if len(m) != 4 or any(len(row) != 4 or not all(isinstance(x, int) for x in row)
+                              for row in m):
+            raise ValueError("an isometry is a 4x4 integer matrix")
+        transpose = tuple(zip(*m))
+        if _matmul(_matmul(transpose, _GRAM), m) != _GRAM:
+            raise ValueError("matrix does not preserve the Mukai pairing")
+        self.matrix = m
 
     @classmethod
     def swap(cls) -> HodgeIsometry:
-        return cls("swap")
+        return cls(((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)))
 
     @classmethod
     def sign_h2(cls) -> HodgeIsometry:
-        return cls("sign_h2")
+        return cls(((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1)))
 
     @classmethod
     def negate_rn(cls) -> HodgeIsometry:
-        return cls("negate_rn")
+        return cls(((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)))
 
     @classmethod
     def reflect(cls, w: MukaiVector) -> HodgeIsometry:
-        return cls("reflect", kernel=w)
+        """I + w (G w)^T; for w != 0 an isometry exactly when <w, w> = -2."""
+        wc = _coords(w)
+        gw = [sum(g * x for g, x in zip(row, wc)) for row in _GRAM]
+        return cls([[_IDENTITY[i][j] + wc[i] * gw[j] for j in range(4)] for i in range(4)])
 
     @classmethod
     def compose(cls, *parts: HodgeIsometry) -> HodgeIsometry:
-        return cls("compose", parts=parts)
-
-    def _image(self, v: MukaiVector) -> MukaiVector:
-        if self.kind == "swap":
-            return MukaiVector(v.n, v.beta, v.r)
-        if self.kind == "sign_h2":
-            return MukaiVector(v.r, -v.beta, v.n)
-        if self.kind == "negate_rn":
-            return MukaiVector(-v.r, v.beta, -v.n)
-        if self.kind == "reflect":
-            w = self.kernel
-            return v + mukai_pairing(v, w) * w
-        out = v
-        for part in reversed(self.parts):
-            out = part._image(out)
-        return out
+        m = _IDENTITY
+        for part in parts:
+            m = _matmul(m, part.matrix)
+        return cls(m)
 
     def __call__(self, v: MukaiVector) -> MukaiVector:
         return apply_isometry(self, v)
 
-    def __str__(self) -> str:
-        if self.kind == "reflect":
-            return f"reflect({self.kernel})"
-        if self.kind == "compose":
-            return " o ".join(str(p) for p in self.parts)
-        return self.kind
-
 
 def apply_isometry(g: HodgeIsometry, v: MukaiVector) -> MukaiVector:
-    """Image g(v), with the pairing norm checked on the way out."""
-    gv = g._image(v)
-    assert mukai_pairing(gv, gv) == mukai_pairing(v, v), "isometry broke the pairing"
-    return gv
+    """Image g(v) = M v."""
+    x0, x1, x2, x3 = _coords(v)
+    r, a, b, n = [m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 for m0, m1, m2, m3 in g.matrix]
+    return MukaiVector(r, CurveClass(a, b), n)
 
 
 def enumerate_effective(y_max: int) -> list[CurveClass]:

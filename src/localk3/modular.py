@@ -10,7 +10,9 @@ every multiplication in the build.
 
 from __future__ import annotations
 
-from .series import KY_KERNEL, LaurentPoly, QZSeries, qz_invert, qz_mul
+import math
+
+from .series import LaurentPoly, QZSeries, qz_invert, qz_mul
 
 
 class DeltaSeries(QZSeries):
@@ -23,17 +25,6 @@ class DeltaSeries(QZSeries):
             if not p.is_palindromic():
                 raise AssertionError(f"q^{m} row is not palindromic in z")
 
-    @classmethod
-    def _wrap(cls, s: QZSeries) -> DeltaSeries:
-        return cls(s.q_min, s.q_max, dict(s._rows))
-
-
-def _binom(n: int, k: int) -> int:
-    c = 1
-    for i in range(1, k + 1):
-        c = c * (n - i + 1) // i
-    return c
-
 
 def delta(q_max: int) -> DeltaSeries:
     """Delta(z, q) exact through q^q_max (q_max >= 1)."""
@@ -43,7 +34,7 @@ def delta(q_max: int) -> DeltaSeries:
     prod = QZSeries(0, big_n, {0: LaurentPoly.const(1)})
     for n in range(1, big_n + 1):
         # (1 - q^n)^20 expanded as a z-free polynomial
-        f1 = {n * j: (-1) ** j * _binom(20, j)
+        f1 = {n * j: (-1) ** j * math.comb(20, j)
               for j in range(big_n // n + 1) if j <= 20}
         prod = qz_mul(prod, QZSeries.from_q_poly(f1, big_n))
         prod.assert_z_width_bound()
@@ -66,17 +57,4 @@ def inv_delta(q_max: int) -> DeltaSeries:
         raise ValueError("q_max must be >= -1")
     d = delta(q_max + 2)
     inv = qz_invert(d)
-    inv.assert_z_width_bound()
-    return DeltaSeries._wrap(inv)
-
-
-def kernel() -> LaurentPoly:
-    """The pairing kernel z - 2 + z^{-1}."""
-    return KY_KERNEL
-
-
-def ky_rhs_times_kernel(q_max: int) -> QZSeries:
-    """Right side of the stable-pair wall identity, multiplied through
-    by the kernel (sqrt z - 1/sqrt z)^2: the product is exactly
-    1/Delta, so the kernel never needs to be inverted."""
-    return inv_delta(q_max)
+    return DeltaSeries(inv.q_min, inv.q_max, inv._rows)

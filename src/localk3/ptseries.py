@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .invariants import N_from_J, conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
@@ -76,14 +76,9 @@ class PTParams:
 
 
 def _eps(m: int) -> int:
-    assert m != 0, "orientation weight hit r + n = 0"
+    if m == 0:
+        raise ConsistencyError("orientation weight hit r + n = 0")
     return 1 if m > 0 else -1
-
-
-def _assert_integral(series: MultiSeries, label: str) -> None:
-    bad = [(cls, k, v) for cls, k, v in series.terms() if v.denominator != 1]
-    if bad:
-        raise ConsistencyError(f"{label} produced non-integer coefficients", bad)
 
 
 def _signed_weight(n: int) -> int:
@@ -91,89 +86,76 @@ def _signed_weight(n: int) -> int:
     return -1 if n % 2 == 0 else 1
 
 
-def pt_main(params: PTParams) -> MultiSeries:
-    """Exponential form of the stable-pair series.
+def _index_terms(params: PTParams, covers: bool) -> Iterator[tuple[CurveClass, int, int, int]]:
+    """The (beta, r, n, z) factors shared by the three builds, z in the
+    padded window: z = n for r, n >= 0 not both zero, z = -n for r, n >= 1.
 
-    Factors with r >= 1 only occur while r (r + n) <= beta^2/2 + k^2
-    for some divisor k of the vector, so each class contributes
-    finitely many of them; the r = 0 tails are cut at the padded
-    window.
+    A factor carries chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1}) for divisors
+    k of (r, beta, r + n), which vanishes unless r(r+n) <= beta^2/2 + k^2.
+    So only r(r+n) <= bound = beta^2/2 + k_max^2 is yielded, with
+    k_max = div beta for the multiple-cover forms (covers) and k_max = 1
+    for the product form; a class with bound < 0 has no factors.
     """
     lo, hi = params.work_window
-    arg: dict[tuple[CurveClass, int], Fraction] = {}
     for beta in enumerate_effective(params.y_max):
-        bsq = beta.self_intersection()
-        g = beta.divisibility()
-        bound = bsq // 2 + g * g
-        rmax = math.isqrt(bound) if bound >= 0 else 0
-        for n in range(hi + 1):
-            for r in range(rmax + 1):
-                weight = n + 2 * r
-                if weight == 0:
-                    continue
-                jval = conjectural_J(MukaiVector(r, beta, r + n))
-                if not jval:
-                    continue
-                c = weight * jval
-                if params.signed:
-                    c *= _signed_weight(n)
-                key = (beta, n)
-                arg[key] = arg.get(key, Fraction(0)) + c
-        for r in range(1, rmax + 1):
-            n = 1
-            while r * (r + n) <= bound and -n >= lo:
-                jval = conjectural_J(MukaiVector(r, beta, r + n))
-                if jval:
-                    c = (n + 2 * r) * jval
-                    if params.signed:
-                        c *= _signed_weight(n)
-                    key = (beta, -n)
-                    arg[key] = arg.get(key, Fraction(0)) + c
-                n += 1
-    series = exp(MultiSeries(params.y_max, (lo, hi), arg))
-    # only the reported window is exact; the padding strip absorbs the
-    # tails of the cut factors and is discarded before the check
+        k_max = beta.divisibility() if covers else 1
+        bound = beta.self_intersection() // 2 + k_max * k_max
+        if bound < 0:
+            continue
+        for n in range(1, hi + 1):
+            yield beta, 0, n, n
+        for r in range(1, math.isqrt(bound) + 1):
+            reach = bound // r - r  # largest n with r(r+n) <= bound
+            for n in range(min(reach, hi) + 1):
+                yield beta, r, n, n
+            for n in range(1, min(reach, -lo) + 1):
+                yield beta, r, n, -n
+
+
+def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
+    """Cut to the reported window, where the result is exact, and check
+    that every coefficient there is an integer."""
     out = series.restrict(-params.z_max, params.z_max)
-    _assert_integral(out, "pt_main")
+    bad = [(cls, k, v) for cls, k, v in out.terms() if v.denominator != 1]
+    if bad:
+        raise ConsistencyError(f"{label} produced non-integer coefficients", bad)
     return out
+
+
+def _exp_sum(params: PTParams, label: str,
+             terms: Iterable[tuple[CurveClass, int, Fraction]]) -> MultiSeries:
+    """exp of sum c y^beta z^k over the padded window, then _reported:
+    the padding strip absorbs the tails of the factors cut at the window."""
+    arg: dict[tuple[CurveClass, int], Fraction] = {}
+    for beta, k, c in terms:
+        arg[(beta, k)] = arg.get((beta, k), Fraction(0)) + c
+    return _reported(exp(MultiSeries(params.y_max, params.work_window, arg)), params, label)
+
+
+def pt_main(params: PTParams) -> MultiSeries:
+    """Exponential form of the stable-pair series: the exponent of
+    y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r."""
+    return _exp_sum(params, "pt_main", (
+        (beta, z, (n + 2 * r) * conjectural_J(MukaiVector(r, beta, r + n))
+         * (_signed_weight(n) if params.signed else 1))
+        for beta, r, n, z in _index_terms(params, covers=True)))
 
 
 def pt_borcherds(params: PTParams) -> MultiSeries:
     """Product form of the stable-pair series, one binomial factor per
     (beta, r, n) with nonzero exponent (n + 2r) chi(Hilb^{beta^2/2 - r(n+r) + 1})."""
-    lo, hi = params.work_window
-    window = (lo, hi)
+    window = params.work_window
     out = MultiSeries.one(params.y_max, window)
-    for beta in enumerate_effective(params.y_max):
-        cap = beta.self_intersection() // 2 + 1
-        if cap < 0:
+    for beta, r, n, z in _index_terms(params, covers=False):
+        e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
+        if not e:
             continue
-        factors: list[tuple[int, int, int]] = []  # (z_exp, r, n)
-        for n in range(1, hi + 1):
-            factors.append((n, 0, n))
-        rmax = math.isqrt(cap)
-        for r in range(1, rmax + 1):
-            n = 0
-            while r * (n + r) <= cap and n <= hi:
-                factors.append((n, r, n))
-                n += 1
-            n = 1
-            while r * (n + r) <= cap and -n >= lo:
-                factors.append((-n, r, n))
-                n += 1
-        for z_exp, r, n in factors:
-            e = (n + 2 * r) * hilb_euler(cap - r * (n + r))
-            if not e:
-                continue
-            if params.signed:
-                factor = pow_binomial(beta, z_exp, _signed_weight(n), e,
-                                      params.y_max, window)
-            else:
-                factor = pow_binomial(beta, z_exp, -1, -e, params.y_max, window)
-            out = out.mul(factor)
-    out = out.restrict(-params.z_max, params.z_max)
-    _assert_integral(out, "pt_borcherds")
-    return out
+        if params.signed:
+            factor = pow_binomial(beta, z, _signed_weight(n), e, params.y_max, window)
+        else:
+            factor = pow_binomial(beta, z, -1, -e, params.y_max, window)
+        out = out.mul(factor)
+    return _reported(out, params, "pt_borcherds")
 
 
 def pt_xbar(params: PTParams) -> MultiSeries:
@@ -181,44 +163,17 @@ def pt_xbar(params: PTParams) -> MultiSeries:
 
         prod_{beta, (r, n) in S} exp((n + 2r) N(r, beta, n) y^beta z^n)^{eps(r+n)}
 
-    with S = {rn > 0} u {r = 0, n > 0} u {r > 0, n = 0}.  The index
-    set never meets r + n = 0, so eps is evaluated under an assert
-    instead of a branch."""
+    with S = {rn > 0} u {r = 0, n > 0} u {r > 0, n = 0}, which is the
+    shared index set read as (r, z) for z >= 0 and (-r, z) for z < 0."""
     if params.signed:
         raise ValueError("the base-change series has no signed variant")
-    lo, hi = params.work_window
-    arg: dict[tuple[CurveClass, int], Fraction] = {}
 
-    def add(beta: CurveClass, r: int, n: int) -> None:
-        val = N_from_J(r, beta, n)
-        if not val:
-            return
-        c = _eps(r + n) * (n + 2 * r) * val
-        key = (beta, n)
-        arg[key] = arg.get(key, Fraction(0)) + c
+    def term(beta: CurveClass, r: int, n: int) -> tuple[CurveClass, int, Fraction]:
+        return beta, n, _eps(r + n) * (n + 2 * r) * N_from_J(r, beta, n)
 
-    for beta in enumerate_effective(params.y_max):
-        bsq = beta.self_intersection()
-        g = beta.divisibility()
-        bound = bsq // 2 + g * g
-        rmax = math.isqrt(bound) if bound >= 0 else 0
-        for n in range(1, hi + 1):  # r = 0, n > 0
-            add(beta, 0, n)
-        for r in range(1, rmax + 1):  # r > 0, n = 0
-            if r * r <= bound:
-                add(beta, r, 0)
-        for r in range(1, rmax + 1):  # r n > 0, both signs
-            n = 1
-            while r * (r + n) <= bound:
-                if n <= hi:
-                    add(beta, r, n)
-                if -n >= lo:
-                    add(beta, -r, -n)
-                n += 1
-    series = exp(MultiSeries(params.y_max, (lo, hi), arg))
-    out = series.restrict(-params.z_max, params.z_max)
-    _assert_integral(out, "pt_xbar")
-    return out
+    return _exp_sum(params, "pt_xbar", (
+        term(beta, r if z >= 0 else -r, z)
+        for beta, r, _n, z in _index_terms(params, covers=True)))
 
 
 def ky_pairs_euler(h: int, n: int) -> int:

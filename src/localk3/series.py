@@ -63,11 +63,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self._c)
-
     def max_exp(self) -> int:
         if not self._c:
             raise ValueError("zero polynomial has no exponents")
@@ -173,11 +168,6 @@ class MultiSeries:
     @classmethod
     def one(cls, y_max: int, z_window: tuple[int, int]) -> MultiSeries:
         return cls(y_max, z_window, {(ZERO_CLASS, 0): 1})
-
-    @classmethod
-    def term(cls, coeff: Coeff, klass: CurveClass, z_exp: int,
-             y_max: int, z_window: tuple[int, int]) -> MultiSeries:
-        return cls(y_max, z_window, {(klass, z_exp): coeff})
 
     @property
     def z_window(self) -> tuple[int, int]:
@@ -414,12 +404,6 @@ class QZSeries:
             other.q_min, other.q_max, other._rows)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def truncate(self, q_max: int) -> QZSeries:
-        if q_max > self.q_max:
-            raise ValueError("truncate cannot raise q_max")
-        return QZSeries(self.q_min, q_max,
-                        {m: p for m, p in self._rows.items() if m <= q_max})
 
     def assert_z_width_bound(self) -> None:
         """Width of the q^m row is at most 2 (m - q_min).

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,6 +10,31 @@ from localk3 import cli
 def run_cli(capsys, *args):
     code = cli.main(list(args))
     return code, capsys.readouterr().out
+
+
+# SHA-256 of stdout for commands whose reports depend on no seed; a
+# change to any of them is a change to the report format or the math
+STDOUT_SHA256 = [
+    ("hilb --max 30",
+     "faf40f87bf1a37df85769ff57f6acd71e762926c454223c4426a85bf2b626809"),
+    ("pt --y-max 3 --z-max 4",
+     "2151d3f583da8d485e8dc0adff574b3b7a05f34ad03fb6d54cc6f871bb152a29"),
+    ("pt --y-max 3 --z-max 4 --signed --format csv",
+     "a3c476de3398949da13f3994e7b4a0a48f8fdae59d9585b7bfbeaa8367f380fa"),
+    ("xbar-verify --y-max 2 --z-max 3",
+     "22fe73b7adf735752a55258cb886982419f3ba3532a359b6ee2b4ba25acab394"),
+    ("ky-verify --q-max 4 --z-window 6",
+     "a5c3afde15168dfdfd933e7c7d3d7d10bd039e726074c4a1623334ba2fd1d93f"),
+    ("bps --q-max 6 --y-max 3 --z-max 8",
+     "c7d72980f69b40b2c372a5a44bbad09c52e47f090764723bcf7f48ff88c57f4a"),
+]
+
+
+@pytest.mark.parametrize("command,digest", STDOUT_SHA256, ids=[c for c, _ in STDOUT_SHA256])
+def test_stdout_matches_recorded_digest(capsys, command, digest):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hilb_json_report(capsys):

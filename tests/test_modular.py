@@ -1,8 +1,8 @@
 import pytest
 
 from localk3.invariants import hilb_euler
-from localk3.modular import DeltaSeries, delta, inv_delta, kernel, ky_rhs_times_kernel
-from localk3.series import LaurentPoly, qz_mul
+from localk3.modular import DeltaSeries, delta, inv_delta
+from localk3.series import KY_KERNEL, LaurentPoly, qz_mul
 
 
 def test_delta_leading_rows():
@@ -73,14 +73,6 @@ def test_delta_series_validates_width():
         DeltaSeries(0, 1, {0: LaurentPoly({1: 1, -1: 1})})
 
 
-def test_kernel_poly():
-    assert kernel() == LaurentPoly({1: 1, 0: -2, -1: 1})
-
-
-def test_ky_rhs_times_kernel_is_inv_delta():
-    assert ky_rhs_times_kernel(4) == inv_delta(4)
-
-
 def test_kernel_division_recurrence_gives_weights():
     # solve (z - 2 + 1/z) F = 1 with F supported in positive powers:
     # the recurrence f_{j+1} = 2 f_j - f_{j-1} (after f_1 = 1) forces
@@ -90,6 +82,6 @@ def test_kernel_division_recurrence_gives_weights():
         f[j + 1] = 2 * f[j] - f[j - 1]
     assert all(f[j] == j for j in range(31))
     window = LaurentPoly({j: f[j] for j in range(31)})
-    prod = window * kernel()
+    prod = window * KY_KERNEL
     for j in range(30):
         assert prod.coeff(j) == (1 if j == 0 else 0)

@@ -1,13 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from localk3.invariants import hilb_euler
-from localk3.lattice import CurveClass, FIBER, SECTION, ZERO_CLASS
+from localk3.invariants import conjectural_J, hilb_euler
+from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS,
+                             enumerate_effective)
 from localk3.modular import inv_delta
-from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, bps_extract,
-                              gv_extract, ky_identity_check, ky_pairs_euler,
-                              pt_borcherds, pt_main, pt_xbar)
+from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
+                              bps_extract, gv_extract, ky_identity_check,
+                              ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
 from localk3.series import MultiSeries
 
 
@@ -24,6 +26,34 @@ def test_pt_params_padding():
     assert PTParams(0, 3).z_pad == 0
     with pytest.raises(ValueError):
         PTParams(-1, 3)
+
+
+@pytest.mark.parametrize("covers", [True, False])
+def test_index_terms_drop_no_factor(covers):
+    # brute force a box well past the stated bound: every factor with a
+    # nonzero coefficient (J for k_max = div beta, chi for k_max = 1)
+    # must be yielded, once
+    for y_max in range(7):
+        params = PTParams(y_max, y_max + 2)
+        lo, hi = params.work_window
+        listed = list(_index_terms(params, covers))
+        terms = set(listed)
+        assert len(terms) == len(listed)
+        for beta in enumerate_effective(y_max):
+            k_max = beta.divisibility() if covers else 1
+            bound = beta.self_intersection() // 2 + k_max * k_max
+            for r in range(2 * math.isqrt(abs(bound)) + 3):
+                for n in range(max(hi, -lo) + 1):
+                    if covers:
+                        coeff = conjectural_J(MukaiVector(r, beta, r + n)) if r or n else 0
+                    else:
+                        coeff = hilb_euler(beta.self_intersection() // 2 + 1 - r * (r + n))
+                    if not coeff:
+                        continue
+                    if (r or n) and n <= hi:
+                        assert (beta, r, n, n) in terms
+                    if r and n and -n >= lo:
+                        assert (beta, r, n, -n) in terms
 
 
 def test_pt_main_spot_coefficients():
