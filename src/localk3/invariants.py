@@ -19,8 +19,9 @@ from fractions import Fraction
 from .lattice import CurveClass, MukaiVector
 
 
-def _eta24(n: int) -> list[int]:
-    """Coefficients of prod_{k>=1} (1-q^k)^24 up to q^n."""
+def _eta_power(e: int, n: int) -> list[int]:
+    """Coefficients of prod_{k>=1} (1-q^k)^e up to q^n, for e >= 0: Euler's
+    pentagonal series raised to the e-th power by binary powering."""
     euler = [0] * (n + 1)
     euler[0] = 1
     k = 1
@@ -37,12 +38,11 @@ def _eta24(n: int) -> list[int]:
         k += 1
     out = [1] + [0] * n
     base = euler
-    exp = 24
-    while exp:
-        if exp & 1:
+    while e:
+        if e & 1:
             out = _poly_mul_trunc(out, base, n)
-        exp >>= 1
-        if exp:
+        e >>= 1
+        if e:
             base = _poly_mul_trunc(base, base, n)
     return out
 
@@ -83,7 +83,7 @@ class HilbTable:
 def hilb_table(max_n: int) -> HilbTable:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    vals = _series_inverse(_eta24(max_n), max_n)
+    vals = _series_inverse(_eta_power(24, max_n), max_n)
     return HilbTable(max_n, tuple(vals))
 
 

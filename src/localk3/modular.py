@@ -3,15 +3,22 @@
     Delta(z, q) = q prod_{n>=1} (1-q^n)^20 (1-z q^n)^2 (1-z^{-1} q^n)^2
 
 Each q-row of Delta and 1/Delta is a palindromic Laurent polynomial in
-z, and the z-width of the q^m row is at most 2 (m - q_min).  Both facts
-are checked on construction, and the width bound is asserted after
-every multiplication in the build.
+z whose width on the q^m row is at most 2 (m - q_min); DeltaSeries
+checks both on construction.  Delta is built from the Jacobi triple
+product: with K = z - 2 + 1/z,
+
+    Delta K = q prod_{n>=1} (1-q^n)^18 Theta,
+    Theta = sum_{n,m in Z} (-1)^{n+m} q^{(n(n+1)+m(m+1))/2} z^{n+m+1},
+
+so Delta is one exact division by K per row of the O(q_max)-term Theta
+and one product with a z-free series, all on integer rows.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import accumulate
 
+from .invariants import _eta_power
 from .series import LaurentPoly, QZSeries, qz_invert, qz_mul
 
 
@@ -30,25 +37,25 @@ def delta(q_max: int) -> DeltaSeries:
     """Delta(z, q) exact through q^q_max (q_max >= 1)."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    big_n = q_max - 1  # the product part is needed through q^(q_max - 1)
-    prod = QZSeries(0, big_n, {0: LaurentPoly.const(1)})
-    for n in range(1, big_n + 1):
-        # (1 - q^n)^20 expanded as a z-free polynomial
-        f1 = {n * j: (-1) ** j * math.comb(20, j)
-              for j in range(big_n // n + 1) if j <= 20}
-        prod = qz_mul(prod, QZSeries.from_q_poly(f1, big_n))
-        prod.assert_z_width_bound()
-        # (1 - z q^n)^2 and (1 - z^{-1} q^n)^2
-        for zsign in (1, -1):
-            rows = {0: LaurentPoly.const(1)}
-            if n <= big_n:
-                rows[n] = LaurentPoly.monomial(-2, zsign)
-            if 2 * n <= big_n:
-                rows[2 * n] = LaurentPoly.monomial(1, 2 * zsign)
-            prod = qz_mul(prod, QZSeries(0, big_n, rows))
-            prod.assert_z_width_bound()
-    shifted = {m + 1: p for m, p in prod._rows.items()}
-    return DeltaSeries(1, q_max, shifted)
+    big_n = q_max - 1  # Theta and the eta product are needed through q^(q_max - 1)
+    tri = [(n, n * (n + 1) // 2) for n in range(-q_max, q_max) if n * (n + 1) // 2 <= big_n]
+    theta: dict[int, dict[int, int]] = {}
+    for n, tn in tri:
+        for m, tm in tri:
+            if tn + tm <= big_n:
+                row = theta.setdefault(tn + tm, {})
+                row[n + m + 1] = row.get(n + m + 1, 0) + (-1) ** (n + m)
+    quotients = {}
+    for k, row in theta.items():
+        lo = min(row)
+        # K = z^-1 (z - 1)^2, and dividing by z - 1 is a running sum
+        quot = list(accumulate(accumulate(row.get(e, 0) for e in range(lo, max(row) + 1))))
+        if any(quot[-2:]):
+            raise AssertionError(f"q^{k} row of Theta is not divisible by z - 2 + 1/z")
+        quotients[k] = LaurentPoly(dict(enumerate(quot[:-2], lo + 1)))
+    eta18 = QZSeries.from_q_poly(dict(enumerate(_eta_power(18, big_n))), big_n)
+    prod = qz_mul(QZSeries(0, big_n, quotients), eta18)
+    return DeltaSeries(1, q_max, {m + 1: p for m, p in prod.rows()})
 
 
 def inv_delta(q_max: int) -> DeltaSeries:

@@ -36,7 +36,8 @@ from typing import Callable, Iterable, Iterator
 from .invariants import N_from_J, conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import inv_delta
-from .series import KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, exp, log, pow_binomial
+from .series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _dense, exp, log,
+                     pow_binomial)
 
 
 class ConsistencyError(Exception):
@@ -245,29 +246,30 @@ class BPSTable:
         return out
 
 
-_kernel_powers = [LaurentPoly.const(1)]
-
-
-def _kernel_power(g: int) -> LaurentPoly:
-    while len(_kernel_powers) <= g:
-        _kernel_powers.append(_kernel_powers[-1] * KY_KERNEL)
-    return _kernel_powers[g]
+def _kernel_coeff(g: int, j: int) -> int:
+    """Coefficient of z^j in (z - 2 + 1/z)^g = (z^(1/2) - z^(-1/2))^(2g)."""
+    return (-1) ** (g - j) * math.comb(2 * g, g - j) if abs(j) <= g else 0
 
 
 def _kernel_decompose(p: LaurentPoly) -> dict[int, Fraction]:
     """Write a palindromic Laurent polynomial as sum c_g (z - 2 + 1/z)^g.
 
     The g-th basis element has top term z^g with coefficient 1, so
-    elimination from the top degree down is triangular and exact."""
+    elimination from the top degree down is triangular and exact; by
+    palindromy it runs on the half-row of exponents j >= 0."""
     if not p.is_palindromic():
         raise ValueError("polynomial is not palindromic in z")
+    if p.is_zero():
+        return {}
+    lo, row = _dense(p)
+    work = row[-lo:]
     out: dict[int, Fraction] = {}
-    work = p
-    while not work.is_zero():
-        d = work.max_exp()
-        c = work.coeff(d)
-        out[d] = c
-        work = work - _kernel_power(d) * c
+    for g in range(len(work) - 1, -1, -1):
+        c = work[g]
+        if c:
+            out[g] = Fraction(c)
+            for j in range(g + 1):
+                work[j] -= _kernel_coeff(g, j) * c
     return out
 
 

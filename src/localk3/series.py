@@ -12,6 +12,8 @@ Two series types, both with Fraction coefficients and no floats:
 
 Multiplication, exp, log and binomial powers are all exact rational
 arithmetic on sparse maps; zero coefficients are never stored.
+QZSeries products and inverses convolve dense rows internally, in
+plain integers where the coefficients are integral.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._c
-
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
 
     def width(self) -> int:
         """Spread max_exp - min_exp; zero for the zero polynomial."""
@@ -418,26 +415,58 @@ class QZSeries:
                     f"q^{m} row has z-width {p.width()} > {2 * (m - self.q_min)}")
 
 
+def _dense(p: LaurentPoly) -> tuple[int, list]:
+    """A nonzero row as (lowest z-exponent, coefficients upward).
+
+    Integral coefficients become int, so integer rows convolve in plain
+    integer arithmetic; any other coefficient stays a Fraction."""
+    lo = min(p._c)
+    row: list = [0] * (max(p._c) - lo + 1)
+    for e, v in p._c.items():
+        row[e - lo] = v.numerator if v.denominator == 1 else v
+    return lo, row
+
+
+def _row_sum(pairs: list) -> tuple[int, list] | None:
+    """Sum of the products of ((lo, row), (lo, row)) pairs of dense rows,
+    trimmed to its nonzero span; None if it vanishes."""
+    if not pairs:
+        return None
+    lo = min(la + lb for (la, _), (lb, _) in pairs)
+    acc: list = [0] * (max(la + len(a) + lb + len(b) for (la, a), (lb, b) in pairs) - lo - 1)
+    for (la, a), (lb, b) in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(b)
+        for i, x in enumerate(a, la + lb - lo):
+            if x:
+                acc[i:i + n] = [u + x * y for u, y in zip(acc[i:i + n], b)]
+    nonzero = [i for i, v in enumerate(acc) if v]
+    if not nonzero:
+        return None
+    return lo + nonzero[0], acc[nonzero[0]:nonzero[-1] + 1]
+
+
+def _from_dense(q_min: int, q_max: int, rows: dict[int, tuple[int, list]]) -> QZSeries:
+    out = QZSeries(q_min, q_max)
+    out._rows = {m: LaurentPoly(dict(enumerate(row, lo))) for m, (lo, row) in rows.items()}
+    return out
+
+
 def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
     """Product, exact on the q-range the factors jointly determine."""
     q_min = a.q_min + b.q_min
     q_max = min(a.q_max + b.q_min, b.q_max + a.q_min)
     if q_min > q_max:
         raise ValueError("product q-range is empty")
-    rows: dict[int, LaurentPoly] = {}
-    for m1, p1 in a._rows.items():
-        for m2, p2 in b._rows.items():
-            m = m1 + m2
-            if m > q_max:
-                continue
-            prod = p1 * p2
-            if m in rows:
-                rows[m] = rows[m] + prod
-            else:
-                rows[m] = prod
-    out = QZSeries(q_min, q_max)
-    out._rows = {m: p for m, p in rows.items() if not p.is_zero()}
-    return out
+    arows = {m: _dense(p) for m, p in a._rows.items()}
+    brows = {m: _dense(p) for m, p in b._rows.items()}
+    rows = {}
+    for m in range(q_min, q_max + 1):
+        row = _row_sum([(ra, brows[m - ma]) for ma, ra in arows.items() if m - ma in brows])
+        if row:
+            rows[m] = row
+    return _from_dense(q_min, q_max, rows)
 
 
 def qz_invert(a: QZSeries) -> QZSeries:
@@ -445,29 +474,22 @@ def qz_invert(a: QZSeries) -> QZSeries:
 
     Writing a = c z^j q^v (1 + u) with u supported in q^{>= 1}, the
     inverse is computed by the convolution recurrence and is exact on
-    [-v, a.q_max - 2 v].
+    [-v, a.q_max - 2 v].  For c = +-1 the recurrence has no division,
+    so an integer series has an integer inverse computed in integers.
     """
     v = a.q_min
-    lead = a.row(v)
-    if len(lead._c) != 1:
+    if len(a.row(v)._c) != 1:
         raise ValueError("leading q-coefficient must be a single z-monomial")
-    (j, c), = lead._c.items()
-    lead_inv = LaurentPoly.monomial(Fraction(1, 1) / c, -j)
-    q_max = a.q_max - 2 * v
-    q_min = -v
-    rows: dict[int, LaurentPoly] = {q_min: lead_inv}
+    arows = {m: _dense(p) for m, p in a._rows.items()}
+    j, (c,) = arows[v]
+    neg_inv = -c if c in (1, -1) else Fraction(-1) / c
+    q_min, q_max = -v, a.q_max - 2 * v
+    rows = {q_min: (-j, [-neg_inv])}
     for m in range(q_min + 1, q_max + 1):
         # coefficient of q^{m+v} in a * result must vanish
-        acc = LaurentPoly.zero()
-        for k in range(1, m - q_min + 1):
-            ak = a.row(v + k)
-            if ak.is_zero():
-                continue
-            bk = rows.get(m - k)
-            if bk is None:
-                continue
-            acc = acc + ak * bk
-        rows[m] = (-acc) * lead_inv
-    out = QZSeries(q_min, q_max)
-    out._rows = {m: p for m, p in rows.items() if not p.is_zero()}
-    return out
+        acc = _row_sum([(arows[v + k], rows[m - k]) for k in range(1, m - q_min + 1)
+                        if v + k in arows and m - k in rows])
+        if acc:
+            lo, row = acc
+            rows[m] = (lo - j, [x * neg_inv for x in row])
+    return _from_dense(q_min, q_max, rows)

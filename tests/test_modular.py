@@ -1,8 +1,55 @@
+import hashlib
+import math
+
 import pytest
 
 from localk3.invariants import hilb_euler
 from localk3.modular import DeltaSeries, delta, inv_delta
-from localk3.series import KY_KERNEL, LaurentPoly, qz_mul
+from localk3.ptseries import bps_extract
+from localk3.series import KY_KERNEL, LaurentPoly, QZSeries, qz_mul
+
+# SHA-256 of the "q z coefficient" lines of inv_delta(40), and of the
+# "g h value" lines of bps_extract(inv_delta(40), 40), recorded from the
+# factor-by-factor build of Delta on Fraction rows
+INV_DELTA_40_SHA256 = "f3bc976a3b101fffa4944a6994093733d672b71d1e1c27bb9dd0da355944f914"
+BPS_40_SHA256 = "081cb311dd012513b6299e6bb4a9b285b58e4b439cff67b471d07f72b96b2d77"
+
+
+def delta_by_factors(q_max):
+    """Delta expanded one factor (1-q^n)^20 (1-z q^n)^2 (1-z^-1 q^n)^2 at
+    a time: the oracle for the theta-series build."""
+    big_n = q_max - 1
+    prod = QZSeries(0, big_n, {0: LaurentPoly.const(1)})
+    for n in range(1, big_n + 1):
+        f1 = {n * j: (-1) ** j * math.comb(20, j) for j in range(min(big_n // n, 20) + 1)}
+        prod = qz_mul(prod, QZSeries.from_q_poly(f1, big_n))
+        for zsign in (1, -1):
+            rows = {0: LaurentPoly.const(1), n: LaurentPoly.monomial(-2, zsign)}
+            if 2 * n <= big_n:
+                rows[2 * n] = LaurentPoly.monomial(1, 2 * zsign)
+            prod = qz_mul(prod, QZSeries(0, big_n, rows))
+            prod.assert_z_width_bound()
+    return QZSeries(1, q_max, {m + 1: p for m, p in prod.rows()})
+
+
+def sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("q_max", [1, 2, 12, 40])
+def test_theta_build_matches_factor_by_factor_build(q_max):
+    d = delta(q_max)
+    oracle = delta_by_factors(q_max)
+    assert (d.q_min, d.q_max) == (oracle.q_min, oracle.q_max)
+    assert d.rows() == oracle.rows()
+
+
+def test_wall_path_digests_at_q_40():
+    iv = inv_delta(40)
+    terms = sorted((m, j, v) for m, row in iv.rows() for j, v in row.items())
+    assert sha256_lines(f"{m} {j} {v}" for m, j, v in terms) == INV_DELTA_40_SHA256
+    entries = sorted((g, h, c) for (g, h), c in bps_extract(iv, 40).entries.items())
+    assert sha256_lines(f"{g} {h} {c}" for g, h, c in entries) == BPS_40_SHA256
 
 
 def test_delta_leading_rows():

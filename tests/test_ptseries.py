@@ -2,15 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from localk3.invariants import conjectural_J, hilb_euler
 from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS,
                              enumerate_effective)
 from localk3.modular import inv_delta
 from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
-                              bps_extract, gv_extract, ky_identity_check,
+                              _kernel_coeff, _kernel_decompose, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
-from localk3.series import MultiSeries
+from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries
 
 
 def corrupt(series, klass, z_exp, delta):
@@ -180,6 +181,36 @@ def test_bps_vanishes_above_diagonal():
 def test_bps_extract_rejects_overreach():
     with pytest.raises(ValueError):
         bps_extract(inv_delta(3), 5)
+
+
+def kernel_power(g):
+    power = LaurentPoly.const(1)
+    for _ in range(g):
+        power = power * KY_KERNEL
+    return power
+
+
+@pytest.mark.parametrize("g", range(16))
+def test_kernel_closed_form_matches_repeated_product(g):
+    power = kernel_power(g)
+    assert power == LaurentPoly({j: _kernel_coeff(g, j) for j in range(-g - 1, g + 2)})
+    assert _kernel_decompose(power) == {g: 1}
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=8))
+def test_kernel_decompose_round_trips_palindromic_polys(half):
+    p = LaurentPoly({j: c for i, c in enumerate(half) for j in (i, -i)})
+    decomposition = _kernel_decompose(p)
+    assert all(type(c) is Fraction and c for c in decomposition.values())
+    rebuilt = LaurentPoly.zero()
+    for g, c in decomposition.items():
+        rebuilt = rebuilt + kernel_power(g) * c
+    assert rebuilt == p
+
+
+def test_kernel_decompose_rejects_non_palindromic():
+    with pytest.raises(ValueError):
+        _kernel_decompose(LaurentPoly({2: Fraction(1, 2), -1: 3, 0: 1}))
 
 
 def test_bps_extract_rejects_non_palindromic():

@@ -233,3 +233,89 @@ def test_qz_width_bound_closed_under_products_and_inverse(shapes):
     inv = qz_invert(prod)
     inv.assert_z_width_bound()
     assert qz_mul(prod, inv).row(0) == LaurentPoly.const(1)
+
+
+# dict-of-Fraction reference arithmetic for the dense QZSeries engine
+fracs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def qz_series(draw, monomial_lead=False):
+    q_min = draw(st.integers(-2, 2))
+    q_max = q_min + draw(st.integers(0, 4))
+    terms = draw(st.dictionaries(st.tuples(st.integers(q_min, q_max), st.integers(-3, 3)),
+                                 fracs, max_size=12))
+    if monomial_lead:
+        terms = {key: v for key, v in terms.items() if key[0] != q_min}
+        terms[(q_min, draw(st.integers(-3, 3)))] = draw(fracs.filter(bool))
+    rows: dict = {}
+    for (m, j), v in terms.items():
+        rows.setdefault(m, {})[j] = v
+    return QZSeries(q_min, q_max, {m: LaurentPoly(r) for m, r in rows.items()})
+
+
+def qz_terms(s):
+    return {(m, j): v for m, row in s.rows() for j, v in row.items()}
+
+
+def ref_qz_mul(a, b, q_max):
+    out = {}
+    for (m1, j1), v1 in qz_terms(a).items():
+        for (m2, j2), v2 in qz_terms(b).items():
+            if m1 + m2 <= q_max:
+                key = (m1 + m2, j1 + j2)
+                out[key] = out.get(key, Fraction(0)) + v1 * v2
+    return {key: v for key, v in out.items() if v}
+
+
+def ref_qz_invert(a):
+    terms, v = qz_terms(a), a.q_min
+    (j, c), = [(jj, x) for (m, jj), x in terms.items() if m == v]
+    q_min, q_max = -v, a.q_max - 2 * v
+    out = {(q_min, -j): 1 / c}
+    for m in range(q_min + 1, q_max + 1):
+        acc = {}
+        for (ma, ja), x in terms.items():
+            for (mr, jr), y in list(out.items()):
+                if ma > v and mr == m - (ma - v):
+                    acc[ja + jr] = acc.get(ja + jr, Fraction(0)) + x * y
+        out.update({(m, jj - j): -s / c for jj, s in acc.items() if s})
+    return q_min, q_max, out
+
+
+def all_fractions(s):
+    return all(type(v) is Fraction for _, row in s.rows() for _, v in row.items())
+
+
+@given(qz_series(), qz_series())
+def test_qz_mul_matches_reference_convolution(a, b):
+    ab = qz_mul(a, b)
+    assert (ab.q_min, ab.q_max) == (a.q_min + b.q_min,
+                                    min(a.q_max + b.q_min, b.q_max + a.q_min))
+    assert qz_terms(ab) == ref_qz_mul(a, b, ab.q_max)
+    assert all_fractions(ab)
+
+
+@given(qz_series(monomial_lead=True))
+def test_qz_invert_matches_reference_recurrence(a):
+    inv = qz_invert(a)
+    q_min, q_max, terms = ref_qz_invert(a)
+    assert (inv.q_min, inv.q_max) == (q_min, q_max)
+    assert qz_terms(inv) == terms
+    assert all_fractions(inv)
+
+
+def test_qz_invert_non_unit_lead_and_negative_q_min():
+    # lead 3 z^2 q^-2, rational coefficients above it
+    a = QZSeries(-2, 3, {-2: LaurentPoly({2: 3}),
+                         -1: LaurentPoly({0: Fraction(1, 2), 3: -1}),
+                         1: LaurentPoly({-1: Fraction(-2, 3), 1: 5})})
+    inv = qz_invert(a)
+    q_min, q_max, terms = ref_qz_invert(a)
+    assert (inv.q_min, inv.q_max) == (q_min, q_max) == (2, 7)
+    assert inv.row(2) == LaurentPoly({-2: Fraction(1, 3)})
+    assert qz_terms(inv) == terms
+    assert all_fractions(inv)
+    prod = qz_mul(a, inv)
+    assert qz_terms(prod) == {(0, 0): 1}
+    assert all_fractions(prod)
