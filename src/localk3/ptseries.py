@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Iterator
 from .invariants import N_from_J, conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import inv_delta
-from .series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _dense, exp, log,
-                     pow_binomial)
+from .series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _dense, _from_blocks,
+                     exp, log, pow_binomial)
 
 
 class ConsistencyError(Exception):
@@ -144,19 +144,36 @@ def pt_main(params: PTParams) -> MultiSeries:
 
 def pt_borcherds(params: PTParams) -> MultiSeries:
     """Product form of the stable-pair series, one binomial factor per
-    (beta, r, n) with nonzero exponent (n + 2r) chi(Hilb^{beta^2/2 - r(n+r) + 1})."""
-    window = params.work_window
-    out = MultiSeries.one(params.y_max, window)
+    (beta, r, n) with nonzero exponent (n + 2r) chi(Hilb^{beta^2/2 - r(n+r) + 1}).
+
+    The product is kept as integer blocks of full-window z-rows.  Each
+    factor is applied in place from the top weight down, so a
+    shift-and-add only reads blocks that the factor has not touched."""
+    y = params.y_max
+    lo, hi = window = params.work_window
+    blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(y + 1)]
+    blocks[0][0] = (lo, [int(k == 0) for k in range(lo, hi + 1)])
     for beta, r, n, z in _index_terms(params, covers=False):
         e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
         if not e:
             continue
         if params.signed:
-            factor = pow_binomial(beta, z, _signed_weight(n), e, params.y_max, window)
+            factor = pow_binomial(beta, z, _signed_weight(n), e, y, window)
         else:
-            factor = pow_binomial(beta, z, -1, -e, params.y_max, window)
-        out = out.mul(factor)
-    return _reported(out, params, "pt_borcherds")
+            factor = pow_binomial(beta, z, -1, -e, y, window)
+        steps = [(cls.weight, cls.a, k, v.numerator) for cls, k, v in factor.terms()
+                 if not cls.is_zero()]
+        for w in range(y, 0, -1):
+            for dw, da, s, c in steps:
+                if dw > w:
+                    break
+                for a, (_, row) in blocks[w - dw].items():
+                    acc = blocks[w].setdefault(a + da, (lo, [0] * len(row)))[1]
+                    if s >= 0:
+                        acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
+                    else:
+                        acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
+    return _reported(_from_blocks(y, window, blocks, [1] * (y + 1)), params, "pt_borcherds")
 
 
 def pt_xbar(params: PTParams) -> MultiSeries:
@@ -261,7 +278,7 @@ def _kernel_decompose(p: LaurentPoly) -> dict[int, Fraction]:
         raise ValueError("polynomial is not palindromic in z")
     if p.is_zero():
         return {}
-    lo, row = _dense(p)
+    lo, row = _dense(p._c)
     work = row[-lo:]
     out: dict[int, Fraction] = {}
     for g in range(len(work) - 1, -1, -1):

@@ -10,16 +10,18 @@ Two series types, both with Fraction coefficients and no floats:
 * QZSeries: series in q whose coefficients are Laurent polynomials in
   z, exact on a q-range [q_min, q_max].  q_min may be negative.
 
-Multiplication, exp, log and binomial powers are all exact rational
-arithmetic on sparse maps; zero coefficients are never stored.
-QZSeries products and inverses convolve dense rows internally, in
-plain integers where the coefficients are integral.
+Both keep exact coefficients in sparse maps, never storing a zero.
+MultiSeries products and exp convert once into integer blocks (per
+weight, the class coordinate a maps to a dense z-row of numerators over
+one common denominator) and back at the end; log runs on the product.
+QZSeries products and inverses convolve dense rows the same way.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .lattice import ZERO_CLASS, CurveClass
 
@@ -136,7 +138,8 @@ KY_KERNEL = LaurentPoly({1: 1, 0: -2, -1: 1})
 
 
 class MultiSeries:
-    """Sparse series sum c * y^beta * z^k, truncated in weight and z."""
+    """Sparse series sum c * y^beta * z^k, truncated in weight and z.
+    Class weights must be >= 0; the grading makes exp and log finite."""
 
     __slots__ = ("y_max", "z_lo", "z_hi", "_c")
 
@@ -151,6 +154,8 @@ class MultiSeries:
         c: dict[tuple[CurveClass, int], Fraction] = {}
         if coeffs:
             for (cls, k), v in coeffs.items():
+                if cls.weight < 0:
+                    raise ValueError(f"class {cls} has negative weight")
                 if cls.weight > y_max or not (z_lo <= k <= z_hi):
                     continue
                 v = _frac(v)
@@ -245,29 +250,14 @@ class MultiSeries:
 
     def mul(self, other: MultiSeries) -> MultiSeries:
         """Product, truncated to the shared weight bound and the window
-        intersection.  Terms of the factors are bucketed by weight so
-        that pairs exceeding the weight bound are never visited."""
+        intersection.  Runs on integer blocks: weight w of the product
+        collects the block products of weights w1 + w2 = w."""
         y, lo, hi = self._meet(other)
-        buckets: list[list[tuple[CurveClass, int, Fraction]]] = [[] for _ in range(y + 1)]
-        for (cls, k), v in other._c.items():
-            buckets[cls.weight].append((cls, k, v))
-        c: dict[tuple[CurveClass, int], Fraction] = {}
-        for (cls1, k1), v1 in self._c.items():
-            room = y - cls1.weight
-            for w2 in range(room + 1):
-                for cls2, k2, v2 in buckets[w2]:
-                    k = k1 + k2
-                    if k < lo or k > hi:
-                        continue
-                    key = (cls1 + cls2, k)
-                    acc = c.get(key, Fraction(0)) + v1 * v2
-                    if acc:
-                        c[key] = acc
-                    else:
-                        c.pop(key, None)
-        out = MultiSeries(y, (lo, hi))
-        out._c = c
-        return out
+        da, a = _blocks(self)
+        db, b = _blocks(other)
+        prod = [_block_product([(a[i], b[w - i]) for i in range(w + 1)], lo, hi)
+                for w in range(y + 1)]
+        return _from_blocks(y, (lo, hi), prod, [da * db] * (y + 1))
 
     def restrict(self, z_lo: int, z_hi: int) -> MultiSeries:
         """Narrow the z-window, discarding terms outside it."""
@@ -286,20 +276,27 @@ class MultiSeries:
 def exp(a: MultiSeries) -> MultiSeries:
     """exp of a series all of whose terms carry a nonzero curve class.
 
-    The weight filtration makes a nilpotent mod truncation, so
-    exp(a) = sum_{k <= y_max} a^k / k! is a finite sum.
+    With A_k the weight-k part of a and E_w that of exp(a), the grading
+    derivation gives w E_w = sum_{k=1..w} k A_k E_{w-k} (Brent-Kung), a
+    finite recurrence because weights only add.  On integer blocks,
+    A_k = N_k / D with D the lcm of the denominators and
+    E_w = P_w / (D^w w!), so that
+    P_w = sum_k k D^(k-1) (w-1)!/(w-k)! N_k P_{w-k} in integers.
     """
     for (cls, _k) in a._c:
         if cls.weight == 0:
             raise ValueError("exp needs every term to carry a nonzero curve class")
-    out = MultiSeries.one(a.y_max, a.z_window)
-    power = out
-    for k in range(1, a.y_max + 1):
-        power = power.mul(a).scale(Fraction(1, k))
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+    den, n = _blocks(a)
+    p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
+    for w in range(1, a.y_max + 1):
+        pairs = []
+        for k in range(1, w + 1):
+            c = k * den ** (k - 1) * math.perm(w - 1, k - 1)
+            pairs.append(({x: (xlo, [c * v for v in row]) for x, (xlo, row) in n[k].items()},
+                          p[w - k]))
+        p.append(_block_product(pairs, a.z_lo, a.z_hi))
+    dens = [den ** w * math.factorial(w) for w in range(a.y_max + 1)]
+    return _from_blocks(a.y_max, a.z_window, p, dens)
 
 
 def log(a: MultiSeries) -> MultiSeries:
@@ -324,14 +321,6 @@ def log(a: MultiSeries) -> MultiSeries:
     return out
 
 
-def _binomial(e: int, k: int) -> int:
-    """C(e, k) for any integer e, integer-valued also for e < 0."""
-    c = 1
-    for i in range(1, k + 1):
-        c = c * (e - i + 1) // i
-    return c
-
-
 def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
                  y_max: int, z_window: tuple[int, int]) -> MultiSeries:
     """(1 + sign * y^base_class * z^z_exp)^exponent, truncated.
@@ -349,7 +338,9 @@ def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
         z = k * z_exp
         if not (z_lo <= z <= z_hi):
             continue
-        c = _binomial(exponent, k) * sign ** k
+        # C(e, k) = (-1)^k C(k - e - 1, k) extends the binomial to e < 0
+        c = sign ** k * (math.comb(exponent, k) if exponent >= 0
+                         else (-1) ** k * math.comb(k - exponent - 1, k))
         if c:
             coeffs[(k * base_class, z)] = c
     return MultiSeries(y_max, z_window, coeffs)
@@ -415,14 +406,14 @@ class QZSeries:
                     f"q^{m} row has z-width {p.width()} > {2 * (m - self.q_min)}")
 
 
-def _dense(p: LaurentPoly) -> tuple[int, list]:
-    """A nonzero row as (lowest z-exponent, coefficients upward).
+def _dense(c: Mapping[int, Coeff]) -> tuple[int, list]:
+    """A nonzero row {exponent: value} as (lowest exponent, values upward).
 
     Integral coefficients become int, so integer rows convolve in plain
     integer arithmetic; any other coefficient stays a Fraction."""
-    lo = min(p._c)
-    row: list = [0] * (max(p._c) - lo + 1)
-    for e, v in p._c.items():
+    lo = min(c)
+    row: list = [0] * (max(c) - lo + 1)
+    for e, v in c.items():
         row[e - lo] = v.numerator if v.denominator == 1 else v
     return lo, row
 
@@ -447,6 +438,49 @@ def _row_sum(pairs: list) -> tuple[int, list] | None:
     return lo + nonzero[0], acc[nonzero[0]:nonzero[-1] + 1]
 
 
+def _blocks(series: MultiSeries) -> tuple[int, list[dict[int, tuple[int, list]]]]:
+    """(D, blocks) of a series: blocks[w][a] is the dense z-row of the
+    class a*s + (w - a)*f, in integer numerators over D, the lcm of the
+    denominators."""
+    den = math.lcm(*(v.denominator for v in series._c.values()))
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(series.y_max + 1)]
+    for (cls, k), v in series._c.items():
+        rows[cls.weight].setdefault(cls.a, {})[k] = v.numerator * (den // v.denominator)
+    return den, [{a: _dense(r) for a, r in block.items()} for block in rows]
+
+
+def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]:
+    """Sum of the products of (block, block) pairs, class by class, cut
+    to the z-window [lo, hi]."""
+    by_class: dict[int, list] = {}
+    for x, y in pairs:
+        for ax, rx in x.items():
+            for ay, ry in y.items():
+                by_class.setdefault(ax + ay, []).append((rx, ry))
+    out = {}
+    for a, rows in by_class.items():
+        acc = _row_sum(rows)
+        if acc:
+            rlo, row = acc
+            row = row[max(lo - rlo, 0):max(hi - rlo + 1, 0)]
+            if any(row):
+                out[a] = (max(lo, rlo), row)
+    return out
+
+
+def _from_blocks(y_max: int, z_window: tuple[int, int], blocks: list[dict],
+                 dens: list[int]) -> MultiSeries:
+    """The series whose weight-w block has numerators over dens[w]."""
+    out = MultiSeries(y_max, z_window)
+    for w, block in enumerate(blocks):
+        for a, (lo, row) in block.items():
+            cls = CurveClass(a, w - a)
+            for k, v in enumerate(row, lo):
+                if v:
+                    out._c[(cls, k)] = Fraction(v, dens[w])
+    return out
+
+
 def _from_dense(q_min: int, q_max: int, rows: dict[int, tuple[int, list]]) -> QZSeries:
     out = QZSeries(q_min, q_max)
     out._rows = {m: LaurentPoly(dict(enumerate(row, lo))) for m, (lo, row) in rows.items()}
@@ -459,8 +493,8 @@ def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
     q_max = min(a.q_max + b.q_min, b.q_max + a.q_min)
     if q_min > q_max:
         raise ValueError("product q-range is empty")
-    arows = {m: _dense(p) for m, p in a._rows.items()}
-    brows = {m: _dense(p) for m, p in b._rows.items()}
+    arows = {m: _dense(p._c) for m, p in a._rows.items()}
+    brows = {m: _dense(p._c) for m, p in b._rows.items()}
     rows = {}
     for m in range(q_min, q_max + 1):
         row = _row_sum([(ra, brows[m - ma]) for ma, ra in arows.items() if m - ma in brows])
@@ -480,7 +514,7 @@ def qz_invert(a: QZSeries) -> QZSeries:
     v = a.q_min
     if len(a.row(v)._c) != 1:
         raise ValueError("leading q-coefficient must be a single z-monomial")
-    arows = {m: _dense(p) for m, p in a._rows.items()}
+    arows = {m: _dense(p._c) for m, p in a._rows.items()}
     j, (c,) = arows[v]
     neg_inv = -c if c in (1, -1) else Fraction(-1) / c
     q_min, q_max = -v, a.q_max - 2 * v

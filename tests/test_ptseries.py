@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,9 +10,17 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
                              enumerate_effective)
 from localk3.modular import inv_delta
 from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
-                              _kernel_coeff, _kernel_decompose, bps_extract, gv_extract, ky_identity_check,
+                              _kernel_coeff, _kernel_decompose, _reported, _signed_weight,
+                              bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
-from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries
+from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, pow_binomial
+
+# SHA-256 of the sorted "a b z coefficient" lines of pt_main(PTParams(8, 10))
+# unsigned and signed, and of pt_xbar(PTParams(6, 8)), recorded from the
+# power-sum exp on Fraction dicts
+PT_MAIN_8_SHA256 = "092c4cbd390c6617e7fcb0a820bb6ae06fcb59d555e913679366df0f0824fa1e"
+PT_MAIN_8_SIGNED_SHA256 = "21c12a4b3d2288d0a17e2e9f32f25cd43c1a23b58d63fc29764ec12f8c881a4b"
+PT_XBAR_6_SHA256 = "f210dc9111981c7662a7a6a21d4e793ef0952693dcb795b642f19a9f0c63d824"
 
 
 def corrupt(series, klass, z_exp, delta):
@@ -75,6 +84,41 @@ def test_exp_and_product_forms_agree():
     for signed in (False, True):
         p = PTParams(3, 4, signed)
         assert pt_main(p) == pt_borcherds(p)
+
+
+def borcherds_by_mul(params):
+    """The product form with one full series product per binomial factor:
+    the oracle for the in-place update in pt_borcherds."""
+    window = params.work_window
+    out = MultiSeries.one(params.y_max, window)
+    for beta, r, n, z in _index_terms(params, covers=False):
+        e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
+        if not e:
+            continue
+        if params.signed:
+            factor = pow_binomial(beta, z, _signed_weight(n), e, params.y_max, window)
+        else:
+            factor = pow_binomial(beta, z, -1, -e, params.y_max, window)
+        out = out.mul(factor)
+    return _reported(out, params, "borcherds_by_mul")
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_borcherds_in_place_matches_product_by_mul(signed):
+    for y_max in range(7):
+        p = PTParams(y_max, y_max + 2, signed)
+        assert pt_borcherds(p) == borcherds_by_mul(p)
+
+
+def sha256_terms(series):
+    terms = sorted((cls.a, cls.b, k, v) for cls, k, v in series.terms())
+    return hashlib.sha256("\n".join(f"{a} {b} {k} {v}" for a, b, k, v in terms).encode()).hexdigest()
+
+
+def test_pairs_path_digests_at_y_8():
+    assert sha256_terms(pt_main(PTParams(8, 10))) == PT_MAIN_8_SHA256
+    assert sha256_terms(pt_main(PTParams(8, 10, True))) == PT_MAIN_8_SIGNED_SHA256
+    assert sha256_terms(pt_xbar(PTParams(6, 8))) == PT_XBAR_6_SHA256
 
 
 def test_signed_and_unsigned_differ():

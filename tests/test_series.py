@@ -175,6 +175,51 @@ def test_exp_log_roundtrip(d):
     assert log(exp(a)) == a
 
 
+def exp_by_powers(a):
+    """exp(a) as the power sum sum_k a^k / k!, one full product per power:
+    the oracle for the recurrence in exp."""
+    out = MultiSeries.one(a.y_max, a.z_window)
+    power = out
+    for k in range(1, a.y_max + 1):
+        power = naive_mul(power, a).scale(Fraction(1, k))
+        if power.is_zero():
+            break
+        out = out + power
+    return out
+
+
+# z-exponents >= 0 only, so window truncation commutes with products;
+# coefficients with mixed denominators
+forward_key = st.tuples(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any).map(lambda t: CurveClass(*t)),
+    st.integers(0, 4))
+mixed_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@given(st.dictionaries(forward_key, mixed_coeffs, min_size=1, max_size=7),
+       st.integers(2, 4), st.integers(-2, 2), st.integers(4, 12))
+def test_exp_recurrence_matches_power_sum(d, y_max, lo, span):
+    # lo > 0 puts the constant term outside the window: both give zero
+    a = MultiSeries(y_max, (lo, lo + span), d)
+    assert exp(a) == exp_by_powers(a)
+
+
+def test_exp_of_window_without_constant_term_is_zero():
+    a = MultiSeries(3, (1, 6), {(X, 1): Fraction(1, 2), (CurveClass(1, 1), 2): 3})
+    assert exp(a).is_zero()
+
+
+def test_negative_weight_class_is_rejected():
+    # weights grade the series; a negative weight would make exp/log infinite
+    with pytest.raises(ValueError):
+        MultiSeries(2, (0, 0), {(CurveClass(-1, 0), 0): 1, (ZERO_CLASS, 0): 1})
+    with pytest.raises(ValueError):
+        MultiSeries(2, (0, 0), {(CurveClass(-1, 0), 5): 1})
+    # a class with a negative coordinate but weight >= 0 is fine
+    s = MultiSeries(2, (0, 1), {(CurveClass(-1, 2), 1): 1, (ZERO_CLASS, 0): 1})
+    assert s * s == naive_mul(s, s)
+
+
 def test_laurent_poly_basics():
     p = LaurentPoly({1: 1, 0: -2, -1: 1})
     assert p.is_palindromic() and p.width() == 2
