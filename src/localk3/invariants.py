@@ -1,8 +1,8 @@
 """Euler characteristics of Hilbert schemes and the multiple-cover count J.
 
-chi(Hilb^n) of a K3 is the q^n coefficient of prod_{k>=1} (1-q^k)^{-24};
-by convention chi(Hilb^m) = 0 for m < 0.  For a nonzero Mukai vector v
-the rational count
+chi(Hilb^n) of a K3 is the q^n coefficient of prod_{k>=1} (1-q^k)^{-24},
+computed by the sigma-recurrence of _eta_power; by convention
+chi(Hilb^m) = 0 for m < 0.  For a nonzero Mukai vector v the rational count
 
     J(v) = sum_{k >= 1, k | div(v)} (1/k^2) chi(Hilb^{<v/k, v/k>/2 + 1})
 
@@ -15,61 +15,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .lattice import CurveClass, MukaiVector
+from .series import ConsistencyError
 
 
 def _eta_power(e: int, n: int) -> list[int]:
-    """Coefficients of prod_{k>=1} (1-q^k)^e up to q^n, for e >= 0: Euler's
-    pentagonal series raised to the e-th power by binary powering."""
-    euler = [0] * (n + 1)
-    euler[0] = 1
-    k = 1
-    while True:
-        # generalized pentagonal exponents k(3k -+ 1)/2 with sign (-1)^k
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 > n:
-            break
-        sign = -1 if k % 2 else 1
-        euler[e1] += sign
-        if e2 <= n:
-            euler[e2] += sign
-        k += 1
-    out = [1] + [0] * n
-    base = euler
-    while e:
-        if e & 1:
-            out = _poly_mul_trunc(out, base, n)
-        e >>= 1
-        if e:
-            base = _poly_mul_trunc(base, base, n)
-    return out
+    """Coefficients of prod_{k>=1} (1-q^k)^e up to q^n, for any integer e.
 
-def _poly_mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(min(len(b), n - i + 1)):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-def _series_inverse(a: list[int], n: int) -> list[int]:
-    # a[0] must be 1; b[m] = -sum_{k=1..m} a[k] b[m-k]
-    if a[0] != 1:
-        raise ValueError("inverse needs leading coefficient 1")
-    b = [0] * (n + 1)
-    b[0] = 1
+    log prod (1-q^k)^e = -e sum_{m>=1} sigma(m) q^m / m, so the
+    log-derivative gives m F_m = -e sum_{k=1..m} sigma(k) F_{m-k}, the
+    grading recurrence of series.exp, run in integers.
+    """
+    sigma = [0] * (n + 1)
+    for d in range(1, n + 1):
+        sigma[d::d] = [s + d for s in sigma[d::d]]
+    out = [1]
     for m in range(1, n + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            if a[k]:
-                acc += a[k] * b[m - k]
-        b[m] = -acc
-    return b
+        f, rem = divmod(-e * sum(map(mul, sigma[1:m + 1], reversed(out))), m)
+        if rem:
+            raise ConsistencyError(f"q^{m} coefficient of the eta power is not an integer")
+        out.append(f)
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,8 +51,7 @@ class HilbTable:
 def hilb_table(max_n: int) -> HilbTable:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    vals = _series_inverse(_eta_power(24, max_n), max_n)
-    return HilbTable(max_n, tuple(vals))
+    return HilbTable(max_n, tuple(_eta_power(-24, max_n)))
 
 
 _cache: list[int] = [1]

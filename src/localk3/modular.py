@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .invariants import _eta_power
-from .series import LaurentPoly, QZSeries, qz_invert, qz_mul
+from .series import ConsistencyError, LaurentPoly, QZSeries, qz_invert, qz_mul
 
 
 class DeltaSeries(QZSeries):
@@ -30,7 +30,7 @@ class DeltaSeries(QZSeries):
         self.assert_z_width_bound()
         for m, p in self._rows.items():
             if not p.is_palindromic():
-                raise AssertionError(f"q^{m} row is not palindromic in z")
+                raise ConsistencyError(f"q^{m} row is not palindromic in z")
 
 
 def delta(q_max: int) -> DeltaSeries:
@@ -51,7 +51,7 @@ def delta(q_max: int) -> DeltaSeries:
         # K = z^-1 (z - 1)^2, and dividing by z - 1 is a running sum
         quot = list(accumulate(accumulate(row.get(e, 0) for e in range(lo, max(row) + 1))))
         if any(quot[-2:]):
-            raise AssertionError(f"q^{k} row of Theta is not divisible by z - 2 + 1/z")
+            raise ConsistencyError(f"q^{k} row of Theta is not divisible by z - 2 + 1/z")
         quotients[k] = LaurentPoly(dict(enumerate(quot[:-2], lo + 1)))
     eta18 = QZSeries.from_q_poly(dict(enumerate(_eta_power(18, big_n))), big_n)
     prod = qz_mul(QZSeries(0, big_n, quotients), eta18)

@@ -36,16 +36,8 @@ from typing import Callable, Iterable, Iterator
 from .invariants import N_from_J, conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import inv_delta
-from .series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _dense, _from_blocks,
-                     exp, log, pow_binomial)
-
-
-class ConsistencyError(Exception):
-    """An internal cross-check failed; offenders lists the bad entries."""
-
-    def __init__(self, message: str, offenders=()):
-        super().__init__(message)
-        self.offenders = list(offenders)
+from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _dense,
+                     _from_blocks, exp, log, pow_binomial)
 
 
 @dataclass(frozen=True)

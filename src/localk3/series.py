@@ -11,10 +11,11 @@ Two series types, both with Fraction coefficients and no floats:
   z, exact on a q-range [q_min, q_max].  q_min may be negative.
 
 Both keep exact coefficients in sparse maps, never storing a zero.
-MultiSeries products and exp convert once into integer blocks (per
-weight, the class coordinate a maps to a dense z-row of numerators over
-one common denominator) and back at the end; log runs on the product.
-QZSeries products and inverses convolve dense rows the same way.
+Every product convolves dense rows with one kernel, _row_sum.  MultiSeries
+products and exp convert once into integer blocks (per weight, the class
+coordinate a maps to a dense z-row of numerators over one common
+denominator) and back at the end; log runs on the product.  LaurentPoly
+and QZSeries products, and QZSeries inverses, run on dense rows directly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ from typing import Iterator, Mapping
 from .lattice import ZERO_CLASS, CurveClass
 
 Coeff = int | Fraction
+
+
+class ConsistencyError(Exception):
+    """An internal cross-check failed; offenders lists the bad entries."""
+
+    def __init__(self, message: str, offenders=()):
+        super().__init__(message)
+        self.offenders = list(offenders)
 
 
 def _frac(x: Coeff) -> Fraction:
@@ -105,18 +114,10 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                w = c.get(e, Fraction(0)) + v1 * v2
-                if w:
-                    c[e] = w
-                else:
-                    c.pop(e, None)
-        out = LaurentPoly()
-        out._c = c
-        return out
+        if not (self._c and other._c):
+            return LaurentPoly()
+        lo, row = _row_sum([(_dense(self._c), _dense(other._c))])
+        return LaurentPoly(dict(enumerate(row, lo)))
 
     __rmul__ = __mul__
 
@@ -402,7 +403,7 @@ class QZSeries:
         """
         for m, p in self._rows.items():
             if p.width() > 2 * (m - self.q_min):
-                raise AssertionError(
+                raise ConsistencyError(
                     f"q^{m} row has z-width {p.width()} > {2 * (m - self.q_min)}")
 
 

@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from localk3.invariants import (J_closed_00n, J_closed_r0r, N_from_J,
+from localk3.invariants import (J_closed_00n, J_closed_r0r, N_from_J, _eta_power,
                                 conjectural_J, hilb_euler, hilb_table)
 from localk3.lattice import CurveClass, MukaiVector, POLARIZATION, ZERO_CLASS
 
@@ -18,6 +19,67 @@ def hilb_oracle(max_n):
     for m in range(1, max_n + 1):
         e.append(Fraction(24, m) * sum(sigma1(k) * e[m - k] for k in range(1, m + 1)))
     return e
+
+
+def poly_mul_trunc(a, b, n):
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[:n + 1]):
+        for j, bj in enumerate(b[:n + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def eta_by_pentagonal(e, n):
+    """prod (1-q^k)^e to q^n for e >= 0: Euler's pentagonal series
+    sum_k (-1)^k q^{k(3k-1)/2}, k in Z, raised by binary powering."""
+    euler = [0] * (n + 1)
+    for k in range(-n, n + 1):
+        if k * (3 * k - 1) // 2 <= n:
+            euler[k * (3 * k - 1) // 2] += -1 if k % 2 else 1
+    out, base = [1] + [0] * n, euler
+    while e:
+        if e & 1:
+            out = poly_mul_trunc(out, base, n)
+        e >>= 1
+        base = poly_mul_trunc(base, base, n)
+    return out
+
+
+def hilb_by_inverse(n):
+    """1 / prod (1-q^k)^24 to q^n by the O(n^2) inverse recurrence."""
+    a = eta_by_pentagonal(24, n)
+    b = [1]
+    for m in range(1, n + 1):
+        b.append(-sum(a[k] * b[m - k] for k in range(1, m + 1)))
+    return b
+
+
+# SHA-256 of repr(hilb_table(2000).values), recorded from the pentagonal
+# build with the O(n^2) inverse
+HILB_2000_SHA256 = "215125a3f4790f1b5f6d269820ba0da012c752e0b9d23829ca07d585bbb3b3ce"
+
+
+@pytest.mark.parametrize("e", [0, 1, 18, 24])
+def test_eta_power_matches_pentagonal_powering(e):
+    got = _eta_power(e, 300)
+    assert got == eta_by_pentagonal(e, 300)
+    assert all(type(x) is int for x in got)
+    for n in range(6):
+        assert _eta_power(e, n) == eta_by_pentagonal(e, n)
+
+
+def test_hilb_table_matches_inverse_of_eta24():
+    assert list(hilb_table(1000).values) == hilb_by_inverse(1000)
+
+
+def test_eta_power_minus_one_gives_partitions():
+    assert _eta_power(-1, 100)[100] == 190569292
+    assert _eta_power(-1, 10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_hilb_table_2000_digest():
+    values = hilb_table(2000).values
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == HILB_2000_SHA256
 
 
 def test_hilb_anchor_values():

@@ -23,7 +23,9 @@ def test_checks_survive_optimized_mode():
     script = """
 import sys
 from localk3.lattice import HodgeIsometry
+from localk3.modular import DeltaSeries
 from localk3.ptseries import ConsistencyError, _eps
+from localk3.series import LaurentPoly
 assert False, "asserts must be stripped"
 try:
     HodgeIsometry([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -33,9 +35,14 @@ try:
     _eps(0)
 except ConsistencyError:
     print("orientation rejected")
+try:
+    DeltaSeries(0, 1, {1: LaurentPoly({1: 1})})
+except ConsistencyError:
+    print("non-palindromic row rejected")
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "isometry rejected\norientation rejected\n"
+    assert proc.stdout == ("isometry rejected\norientation rejected\n"
+                           "non-palindromic row rejected\n")

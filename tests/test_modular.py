@@ -6,7 +6,7 @@ import pytest
 from localk3.invariants import hilb_euler
 from localk3.modular import DeltaSeries, delta, inv_delta
 from localk3.ptseries import bps_extract
-from localk3.series import KY_KERNEL, LaurentPoly, QZSeries, qz_mul
+from localk3.series import KY_KERNEL, ConsistencyError, LaurentPoly, QZSeries, qz_mul
 
 # SHA-256 of the "q z coefficient" lines of inv_delta(40), and of the
 # "g h value" lines of bps_extract(inv_delta(40), 40), recorded from the
@@ -111,12 +111,12 @@ def test_inv_delta_width_bound_is_tight():
 
 
 def test_delta_series_validates_palindromy():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConsistencyError):
         DeltaSeries(0, 1, {1: LaurentPoly({1: 1})})
 
 
 def test_delta_series_validates_width():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConsistencyError):
         DeltaSeries(0, 1, {0: LaurentPoly({1: 1, -1: 1})})
 
 

@@ -364,3 +364,40 @@ def test_qz_invert_non_unit_lead_and_negative_q_min():
     prod = qz_mul(a, inv)
     assert qz_terms(prod) == {(0, 0): 1}
     assert all_fractions(prod)
+
+
+# dict-of-Fraction reference for LaurentPoly products on the dense kernel
+laurent_dicts = st.dictionaries(st.integers(-5, 5), fracs, max_size=6)
+
+
+def ref_laurent_mul(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def laurent_terms(p):
+    assert all(type(v) is Fraction for _, v in p.items())
+    return dict(p.items())
+
+
+@given(laurent_dicts, laurent_dicts, st.integers(-3, 3))
+def test_laurent_mul_matches_reference_convolution(da, db, k):
+    a, b = LaurentPoly(da), LaurentPoly(db)
+    assert laurent_terms(a * b) == ref_laurent_mul(da, db)
+    assert laurent_terms(a * b) == laurent_terms(b * a)
+    assert laurent_terms(a * k) == laurent_terms(k * a) == {e: v * k for e, v in a.items() if k}
+
+
+def test_laurent_mul_cancellation_and_zero():
+    one_plus, one_minus = LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 1: -1})
+    assert laurent_terms(one_plus * one_minus) == {0: 1, 2: -1}
+    # (z^-1 + z)(z^-1 - z) cancels the middle term z^0
+    p, q = LaurentPoly({-1: 1, 1: 1}), LaurentPoly({-1: 1, 1: -1})
+    assert laurent_terms(p * q) == {-2: 1, 2: -1}
+    half = LaurentPoly({-2: Fraction(1, 2), 3: Fraction(-2, 3)})
+    assert laurent_terms(half * LaurentPoly({0: 2})) == {-2: 1, 3: Fraction(-4, 3)}
+    assert (half * LaurentPoly.zero()).is_zero() and (LaurentPoly.zero() * half).is_zero()
+    assert (half * 0).is_zero() and (half * Fraction(0)).is_zero()
