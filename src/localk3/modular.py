@@ -44,7 +44,7 @@ def delta(q_max: int) -> DeltaSeries:
         for m, tm in tri:
             if tn + tm <= big_n:
                 row = theta.setdefault(tn + tm, {})
-                row[n + m + 1] = row.get(n + m + 1, 0) + (-1) ** (n + m)
+                row[n + m + 1] = row.get(n + m + 1, 0) + (-1 if (n + m) % 2 else 1)
     quotients = {}
     for k, row in theta.items():
         lo = min(row)

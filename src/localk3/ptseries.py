@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator
 from .invariants import N_from_J, conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import inv_delta
-from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _dense,
+from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries,
                      _from_blocks, exp, log, pow_binomial)
 
 
@@ -270,8 +270,7 @@ def _kernel_decompose(p: LaurentPoly) -> dict[int, Fraction]:
         raise ValueError("polynomial is not palindromic in z")
     if p.is_zero():
         return {}
-    lo, row = _dense(p._c)
-    work = row[-lo:]
+    work = p._row[-p._lo:]
     out: dict[int, Fraction] = {}
     for g in range(len(work) - 1, -1, -1):
         c = work[g]

@@ -1,6 +1,6 @@
 """Exact truncated series in curve classes and a Laurent variable z.
 
-Two series types, both with Fraction coefficients and no floats:
+Two series types, both with exact coefficients; a float is refused:
 
 * MultiSeries: finite sum  sum c * y^beta * z^k  with beta a CurveClass
   kept to weight(beta) <= y_max and k inside a working window
@@ -10,12 +10,13 @@ Two series types, both with Fraction coefficients and no floats:
 * QZSeries: series in q whose coefficients are Laurent polynomials in
   z, exact on a q-range [q_min, q_max].  q_min may be negative.
 
-Both keep exact coefficients in sparse maps, never storing a zero.
-Every product convolves dense rows with one kernel, _row_sum.  MultiSeries
-products and exp convert once into integer blocks (per weight, the class
-coordinate a maps to a dense z-row of numerators over one common
-denominator) and back at the end; log runs on the product.  LaurentPoly
-and QZSeries products, and QZSeries inverses, run on dense rows directly.
+MultiSeries keeps its terms in a sparse map; a LaurentPoly, and so each
+QZSeries row, is a dense row with nonzero ends.  Every product convolves
+dense rows with one kernel, _row_sum.  MultiSeries products, exp and log
+convert once into integer blocks (per weight, the class coordinate a maps
+to a dense z-row of numerators over one common denominator) and back at
+the end; log runs exp's recurrence backwards.  LaurentPoly and QZSeries
+products, and QZSeries inverses, run on the stored rows directly.
 """
 
 from __future__ import annotations
@@ -38,22 +39,49 @@ class ConsistencyError(Exception):
 
 
 def _frac(x: Coeff) -> Fraction:
+    """A coefficient as a Fraction.  Only ints and Fractions are taken; a
+    float, say, would enter inexactly."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-class LaurentPoly:
-    """Finite Laurent polynomial in z with Fraction coefficients."""
+def _dense(c: Mapping[int, Coeff]) -> tuple[int, list]:
+    """A nonempty row {exponent: value} as (lowest exponent, values upward)."""
+    lo = min(c)
+    row: list = [0] * (max(c) - lo + 1)
+    for e, v in c.items():
+        row[e - lo] = v
+    return lo, row
 
-    __slots__ = ("_c",)
+
+def _trim(lo: int, row: list) -> tuple[int, list]:
+    """A dense row cut to its nonzero ends, with integral Fractions made
+    int; (0, []) if it vanishes."""
+    nonzero = [i for i, v in enumerate(row) if v]
+    if not nonzero:
+        return 0, []
+    return lo + nonzero[0], [v if type(v) is int or v.denominator != 1 else v.numerator
+                             for v in row[nonzero[0]:nonzero[-1] + 1]]
+
+
+class LaurentPoly:
+    """Finite Laurent polynomial in z with rational coefficients, stored as
+    the dense row sum row[i] z^(lo + i) with nonzero ends; integral values
+    are kept as int, so integer rows convolve in integer arithmetic."""
+
+    __slots__ = ("_lo", "_row")
 
     def __init__(self, coeffs: Mapping[int, Coeff] | None = None):
-        c: dict[int, Fraction] = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = _frac(v)
-                if v:
-                    c[e] = v
-        self._c = c
+        c = {e: _frac(v) for e, v in coeffs.items()} if coeffs else {}
+        self._lo, self._row = _trim(*_dense(c)) if c else (0, [])
+
+    @classmethod
+    def _of(cls, lo: int, row: list) -> LaurentPoly:
+        """The polynomial sum row[i] z^(lo + i), from any dense row."""
+        out = cls.__new__(cls)
+        out._lo, out._row = _trim(lo, row)
+        return out
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -68,68 +96,58 @@ class LaurentPoly:
         return cls({e: v})
 
     def coeff(self, e: int) -> Fraction:
-        return self._c.get(e, Fraction(0))
+        i = e - self._lo
+        return _frac(self._row[i]) if 0 <= i < len(self._row) else Fraction(0)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._c.items())
+        return [(e, _frac(v)) for e, v in enumerate(self._row, self._lo) if v]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._row
 
     def width(self) -> int:
         """Spread max_exp - min_exp; zero for the zero polynomial."""
-        return 0 if not self._c else max(self._c) - min(self._c)
+        return max(len(self._row) - 1, 0)
 
     def is_palindromic(self) -> bool:
-        return all(v == self._c.get(-e, Fraction(0)) for e, v in self._c.items())
+        row = self._row
+        return not row or (2 * self._lo + len(row) == 1 and row == row[::-1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._lo == other._lo and self._row == other._row
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash((self._lo, tuple(self._row)))
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        c = dict(self._c)
-        for e, v in other._c.items():
-            w = c.get(e, Fraction(0)) + v
-            if w:
-                c[e] = w
-            else:
-                c.pop(e, None)
-        out = LaurentPoly()
-        out._c = c
-        return out
+        lo = min(self._lo, other._lo)
+        row: list = [0] * (max(self._lo + len(self._row), other._lo + len(other._row)) - lo)
+        for plo, prow in ((self._lo, self._row), (other._lo, other._row)):
+            i = plo - lo
+            row[i:i + len(prow)] = [u + v for u, v in zip(row[i:i + len(prow)], prow)]
+        return LaurentPoly._of(lo, row)
 
     def __neg__(self) -> LaurentPoly:
-        out = LaurentPoly()
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of(self._lo, [-v for v in self._row])
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        if not (self._c and other._c):
-            return LaurentPoly()
-        lo, row = _row_sum([(_dense(self._c), _dense(other._c))])
-        return LaurentPoly(dict(enumerate(row, lo)))
+        return LaurentPoly._of(*_row_sum([((self._lo, self._row), (other._lo, other._row))]))
 
     __rmul__ = __mul__
 
     def scale(self, k: Coeff) -> LaurentPoly:
         k = _frac(k)
-        out = LaurentPoly()
-        if k:
-            out._c = {e: v * k for e, v in self._c.items()}
-        return out
+        return LaurentPoly._of(self._lo, [v * k for v in self._row]) if k else LaurentPoly()
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._row:
             return "0"
         return " + ".join(f"{v}*z^{e}" for e, v in self.items())
 
@@ -240,14 +258,12 @@ class MultiSeries:
         return out
 
     def __mul__(self, other: MultiSeries | Coeff) -> MultiSeries:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return self.mul(other)
+        if isinstance(other, MultiSeries):
+            return self.mul(other)
+        return self.scale(other)
 
     def __rmul__(self, other: Coeff) -> MultiSeries:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     def mul(self, other: MultiSeries) -> MultiSeries:
         """Product, truncated to the shared weight bound and the window
@@ -287,39 +303,46 @@ def exp(a: MultiSeries) -> MultiSeries:
     for (cls, _k) in a._c:
         if cls.weight == 0:
             raise ValueError("exp needs every term to carry a nonzero curve class")
-    den, n = _blocks(a)
-    p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
-    for w in range(1, a.y_max + 1):
-        pairs = []
-        for k in range(1, w + 1):
-            c = k * den ** (k - 1) * math.perm(w - 1, k - 1)
-            pairs.append(({x: (xlo, [c * v for v in row]) for x, (xlo, row) in n[k].items()},
-                          p[w - k]))
-        p.append(_block_product(pairs, a.z_lo, a.z_hi))
-    dens = [den ** w * math.factorial(w) for w in range(a.y_max + 1)]
-    return _from_blocks(a.y_max, a.z_window, p, dens)
+    return _graded(a, lambda w, k: k * math.perm(w - 1, k - 1))
 
 
 def log(a: MultiSeries) -> MultiSeries:
     """log of a series with constant term 1 and no other weight-0 part.
 
-    log(1 + b) = sum_{k <= y_max} (-1)^(k-1) b^k / k, finite for the
-    same nilpotency reason as exp.
+    exp's relation w F_w = sum_{k=1..w} k L_k F_{w-k}, with F = a and
+    L = log(a), solved for L_w: F_0 = 1, so
+    L_w = F_w - (1/w) sum_{k<w} k L_k F_{w-k}.  On integer blocks,
+    F_k = N_k / D and L_w = M_w / (D^w w!), so that
+    M_w = D^(w-1) w! N_w - sum_{k<w} (w-1)!/(w-k-1)! D^(k-1) N_k M_{w-k}:
+    exp's recurrence run from M_0 = 1, with coefficient w! at k = w and
+    -(w-1)!/(w-k-1)! below it.  That 1 is not part of the logarithm.
     """
     if a.coeff(ZERO_CLASS, 0) != 1:
         raise ValueError("log needs constant term 1")
     for (cls, k) in a._c:
         if cls.weight == 0 and (cls, k) != (ZERO_CLASS, 0):
             raise ValueError("log needs every non-constant term to carry a nonzero curve class")
-    b = a - MultiSeries.one(a.y_max, a.z_window)
-    out = MultiSeries.zero(a.y_max, a.z_window)
-    power = MultiSeries.one(a.y_max, a.z_window)
-    for k in range(1, a.y_max + 1):
-        power = power.mul(b)
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (k - 1), k))
+    out = _graded(a, lambda w, k: math.factorial(w) if k == w else -math.perm(w - 1, k))
+    del out._c[(ZERO_CLASS, 0)]
     return out
+
+
+def _graded(a: MultiSeries, coeff) -> MultiSeries:
+    """The series S = sum_w P_w / (D^w w!) with P_0 = 1 (if z^0 is in the
+    window) and P_w = sum_{k=1..w} coeff(w, k) D^(k-1) N_k P_{w-k}, where
+    the weight-k part of a is N_k / D in integer blocks; each P_w is cut
+    to the window."""
+    den, n = _blocks(a)
+    p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
+    for w in range(1, a.y_max + 1):
+        pairs = []
+        for k in range(1, w + 1):
+            c = coeff(w, k) * den ** (k - 1)
+            pairs.append(({x: (xlo, [c * v for v in row]) for x, (xlo, row) in n[k].items()},
+                          p[w - k]))
+        p.append(_block_product(pairs, a.z_lo, a.z_hi))
+    dens = [den ** w * math.factorial(w) for w in range(a.y_max + 1)]
+    return _from_blocks(a.y_max, a.z_window, p, dens)
 
 
 def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
@@ -407,23 +430,11 @@ class QZSeries:
                     f"q^{m} row has z-width {p.width()} > {2 * (m - self.q_min)}")
 
 
-def _dense(c: Mapping[int, Coeff]) -> tuple[int, list]:
-    """A nonzero row {exponent: value} as (lowest exponent, values upward).
-
-    Integral coefficients become int, so integer rows convolve in plain
-    integer arithmetic; any other coefficient stays a Fraction."""
-    lo = min(c)
-    row: list = [0] * (max(c) - lo + 1)
-    for e, v in c.items():
-        row[e - lo] = v.numerator if v.denominator == 1 else v
-    return lo, row
-
-
-def _row_sum(pairs: list) -> tuple[int, list] | None:
+def _row_sum(pairs: list) -> tuple[int, list]:
     """Sum of the products of ((lo, row), (lo, row)) pairs of dense rows,
-    trimmed to its nonzero span; None if it vanishes."""
+    as a trimmed row."""
     if not pairs:
-        return None
+        return 0, []
     lo = min(la + lb for (la, _), (lb, _) in pairs)
     acc: list = [0] * (max(la + len(a) + lb + len(b) for (la, a), (lb, b) in pairs) - lo - 1)
     for (la, a), (lb, b) in pairs:
@@ -433,10 +444,7 @@ def _row_sum(pairs: list) -> tuple[int, list] | None:
         for i, x in enumerate(a, la + lb - lo):
             if x:
                 acc[i:i + n] = [u + x * y for u, y in zip(acc[i:i + n], b)]
-    nonzero = [i for i, v in enumerate(acc) if v]
-    if not nonzero:
-        return None
-    return lo + nonzero[0], acc[nonzero[0]:nonzero[-1] + 1]
+    return _trim(lo, acc)
 
 
 def _blocks(series: MultiSeries) -> tuple[int, list[dict[int, tuple[int, list]]]]:
@@ -460,12 +468,10 @@ def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]
                 by_class.setdefault(ax + ay, []).append((rx, ry))
     out = {}
     for a, rows in by_class.items():
-        acc = _row_sum(rows)
-        if acc:
-            rlo, row = acc
-            row = row[max(lo - rlo, 0):max(hi - rlo + 1, 0)]
-            if any(row):
-                out[a] = (max(lo, rlo), row)
+        rlo, row = _row_sum(rows)
+        row = row[max(lo - rlo, 0):max(hi - rlo + 1, 0)]
+        if any(row):
+            out[a] = (max(lo, rlo), row)
     return out
 
 
@@ -482,26 +488,18 @@ def _from_blocks(y_max: int, z_window: tuple[int, int], blocks: list[dict],
     return out
 
 
-def _from_dense(q_min: int, q_max: int, rows: dict[int, tuple[int, list]]) -> QZSeries:
-    out = QZSeries(q_min, q_max)
-    out._rows = {m: LaurentPoly(dict(enumerate(row, lo))) for m, (lo, row) in rows.items()}
-    return out
-
-
 def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
     """Product, exact on the q-range the factors jointly determine."""
     q_min = a.q_min + b.q_min
     q_max = min(a.q_max + b.q_min, b.q_max + a.q_min)
     if q_min > q_max:
         raise ValueError("product q-range is empty")
-    arows = {m: _dense(p._c) for m, p in a._rows.items()}
-    brows = {m: _dense(p._c) for m, p in b._rows.items()}
-    rows = {}
-    for m in range(q_min, q_max + 1):
-        row = _row_sum([(ra, brows[m - ma]) for ma, ra in arows.items() if m - ma in brows])
-        if row:
-            rows[m] = row
-    return _from_dense(q_min, q_max, rows)
+    arows = {m: (p._lo, p._row) for m, p in a._rows.items()}
+    brows = {m: (p._lo, p._row) for m, p in b._rows.items()}
+    return QZSeries(q_min, q_max, {
+        m: LaurentPoly._of(*_row_sum([(ra, brows[m - ma]) for ma, ra in arows.items()
+                                      if m - ma in brows]))
+        for m in range(q_min, q_max + 1)})
 
 
 def qz_invert(a: QZSeries) -> QZSeries:
@@ -513,18 +511,17 @@ def qz_invert(a: QZSeries) -> QZSeries:
     so an integer series has an integer inverse computed in integers.
     """
     v = a.q_min
-    if len(a.row(v)._c) != 1:
+    if len(a.row(v)._row) != 1:
         raise ValueError("leading q-coefficient must be a single z-monomial")
-    arows = {m: _dense(p._c) for m, p in a._rows.items()}
+    arows = {m: (p._lo, p._row) for m, p in a._rows.items()}
     j, (c,) = arows[v]
     neg_inv = -c if c in (1, -1) else Fraction(-1) / c
     q_min, q_max = -v, a.q_max - 2 * v
     rows = {q_min: (-j, [-neg_inv])}
     for m in range(q_min + 1, q_max + 1):
         # coefficient of q^{m+v} in a * result must vanish
-        acc = _row_sum([(arows[v + k], rows[m - k]) for k in range(1, m - q_min + 1)
-                        if v + k in arows and m - k in rows])
-        if acc:
-            lo, row = acc
+        lo, row = _row_sum([(arows[v + k], rows[m - k]) for k in range(1, m - q_min + 1)
+                            if v + k in arows and m - k in rows])
+        if row:
             rows[m] = (lo - j, [x * neg_inv for x in row])
-    return _from_dense(q_min, q_max, rows)
+    return QZSeries(q_min, q_max, {m: LaurentPoly._of(*row) for m, row in rows.items()})

@@ -27,6 +27,11 @@ STDOUT_SHA256 = [
      "a5c3afde15168dfdfd933e7c7d3d7d10bd039e726074c4a1623334ba2fd1d93f"),
     ("bps --q-max 6 --y-max 3 --z-max 8",
      "c7d72980f69b40b2c372a5a44bbad09c52e47f090764723bcf7f48ff88c57f4a"),
+    ("bps --q-max 50 --y-max 6 --z-max 30",
+     "c52f8b071e088e9302f06c4ff12a86e1a75f8f0687c0a66f63fca2754fc1f6d2"),
+    # the largest KKV comparison gv_extract's trust bound admits at y_max = 8
+    ("bps --q-max 20 --y-max 8 --z-max 70",
+     "23ed8066a6f249c729ad189fa26250ac13eb2071d7657e6751a18282774fb339"),
 ]
 
 

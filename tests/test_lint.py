@@ -39,10 +39,14 @@ try:
     DeltaSeries(0, 1, {1: LaurentPoly({1: 1})})
 except ConsistencyError:
     print("non-palindromic row rejected")
+try:
+    LaurentPoly({0: 0.5})
+except TypeError:
+    print("float coefficient rejected")
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("isometry rejected\norientation rejected\n"
-                           "non-palindromic row rejected\n")
+                           "non-palindromic row rejected\nfloat coefficient rejected\n")

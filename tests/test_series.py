@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localk3.lattice import CurveClass, ZERO_CLASS
-from localk3.series import (LaurentPoly, MultiSeries, QZSeries, exp, log,
+from localk3.ptseries import PTParams, pt_main
+from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, exp, log,
                             pow_binomial, qz_invert, qz_mul)
 
 X = CurveClass(0, 1)  # weight-1 class, used as a one-variable stand-in
@@ -202,6 +203,43 @@ def test_exp_recurrence_matches_power_sum(d, y_max, lo, span):
     # lo > 0 puts the constant term outside the window: both give zero
     a = MultiSeries(y_max, (lo, lo + span), d)
     assert exp(a) == exp_by_powers(a)
+
+
+def log_by_powers(a):
+    """log(1 + b) as the power sum sum_k (-1)^(k-1) b^k / k, one full
+    product per power: the oracle for the recurrence in log.  The
+    products are MultiSeries.mul, which naive_mul checks above; a naive
+    product would be too slow for the pair series below."""
+    b = a - MultiSeries.one(a.y_max, a.z_window)
+    out = MultiSeries.zero(a.y_max, a.z_window)
+    power = MultiSeries.one(a.y_max, a.z_window)
+    for k in range(1, a.y_max + 1):
+        power = power * b
+        if power.is_zero():
+            break
+        out = out + power.scale(Fraction((-1) ** (k - 1), k))
+    return out
+
+
+@given(st.dictionaries(forward_key, mixed_coeffs, min_size=1, max_size=7),
+       st.integers(2, 4), st.integers(-2, 0), st.integers(4, 12))
+def test_log_recurrence_matches_power_sum(d, y_max, lo, span):
+    a = MultiSeries(y_max, (lo, span), {**d, (ZERO_CLASS, 0): 1})
+    assert log(a) == log_by_powers(a)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("y_max,z_max", [(3, 8), (6, 30), (8, 70)])
+def test_log_of_pair_series_matches_power_sum_where_trusted(y_max, z_max, signed):
+    # both logs cut every intermediate product to the window, so they may
+    # differ only where truncation pollutes, above the bound gv_extract trusts
+    pt = pt_main(PTParams(y_max, z_max, signed=signed))
+    depth = max(0, -pt.support_z_min())
+    top = pt.z_hi - (y_max - 1) * depth
+    fast, slow = log(pt), log_by_powers(pt)
+    keys = {(cls, k) for s in (fast, slow) for cls, k, _ in s.terms() if k <= top}
+    assert keys
+    assert all(fast.coeff(cls, k) == slow.coeff(cls, k) for cls, k in keys)
 
 
 def test_exp_of_window_without_constant_term_is_zero():
@@ -401,3 +439,70 @@ def test_laurent_mul_cancellation_and_zero():
     assert laurent_terms(half * LaurentPoly({0: 2})) == {-2: 1, 3: Fraction(-4, 3)}
     assert (half * LaurentPoly.zero()).is_zero() and (LaurentPoly.zero() * half).is_zero()
     assert (half * 0).is_zero() and (half * Fraction(0)).is_zero()
+
+
+def ref_add(a, b):
+    out = {e: a.get(e, Fraction(0)) + b.get(e, Fraction(0)) for e in set(a) | set(b)}
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_palindromic(a):
+    return all(v == a.get(-e, Fraction(0)) for e, v in a.items())
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two coefficient dicts; the second cancels a random part of the
+    first, so sums cancel at either end, and is sometimes a palindrome."""
+    da = draw(laurent_dicts)
+    db = {e: -v for e, v in da.items() if draw(st.booleans())}
+    db.update(draw(st.dictionaries(st.integers(-5, 5), fracs, max_size=3)))
+    if draw(st.booleans()):
+        db = {**db, **{-e: v for e, v in db.items()}}
+    return da, db
+
+
+@given(laurent_pairs(), fracs)
+def test_dense_laurent_matches_dict_reference(pair, k):
+    da, db = pair
+    a, b = LaurentPoly(da), LaurentPoly(db)
+    ra, rb = ref_add(da, {}), ref_add(db, {})
+    assert laurent_terms(a) == ra and laurent_terms(b) == rb
+    assert laurent_terms(a + b) == ref_add(ra, rb)
+    assert laurent_terms(a - b) == ref_add(ra, {e: -v for e, v in rb.items()})
+    assert laurent_terms(-a) == {e: -v for e, v in ra.items()}
+    assert laurent_terms(a.scale(k)) == {e: v * k for e, v in ra.items() if k}
+    assert (a == b) == (ra == rb)
+    assert a + b == LaurentPoly(ref_add(ra, rb))
+    assert hash(a + b) == hash(LaurentPoly(ref_add(ra, rb)))
+    for p, r in ((a, ra), (b, rb), (a + b, ref_add(ra, rb))):
+        assert p.width() == (max(r) - min(r) if r else 0)
+        assert p.is_palindromic() == ref_palindromic(r)
+        assert p.is_zero() == (not r)
+        assert all(p.coeff(e) == r.get(e, 0) for e in range(-7, 8))
+
+
+def test_integral_coefficients_are_stored_as_int():
+    two, frac_two = LaurentPoly({0: 2}), LaurentPoly({0: Fraction(2)})
+    assert two == frac_two and hash(two) == hash(frac_two)
+    assert type(frac_two._row[0]) is int
+    half = LaurentPoly({-1: Fraction(1, 2), 1: Fraction(3, 2)})
+    assert type((half + half)._row[0]) is int and type(half.scale(4)._row[-1]) is int
+    assert (half - half)._row == [] and half - half == LaurentPoly.zero()
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(TypeError):
+        LaurentPoly({0: "1/2"})
+    with pytest.raises(TypeError):
+        MultiSeries(1, (0, 0), {(CurveClass(0, 1), 0): 0.5})
+    with pytest.raises(TypeError):
+        KY_KERNEL.scale(0.5)
+    with pytest.raises(TypeError):
+        KY_KERNEL * 1.0
+    with pytest.raises(TypeError):
+        MultiSeries.one(1, (0, 0)).scale(0.5)
+    with pytest.raises(TypeError):
+        0.5 * MultiSeries.one(1, (0, 0))
