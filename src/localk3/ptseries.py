@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .invariants import N_from_J, conjectural_J, hilb_euler
+from .invariants import conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import inv_delta
 from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries,
@@ -116,21 +116,38 @@ def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
 
 
 def _exp_sum(params: PTParams, label: str,
-             terms: Iterable[tuple[CurveClass, int, Fraction]]) -> MultiSeries:
-    """exp of sum c y^beta z^k over the padded window, then _reported:
-    the padding strip absorbs the tails of the factors cut at the window."""
-    arg: dict[tuple[CurveClass, int], Fraction] = {}
-    for beta, k, c in terms:
-        arg[(beta, k)] = arg.get((beta, k), Fraction(0)) + c
-    return _reported(exp(MultiSeries(params.y_max, params.work_window, arg)), params, label)
+             terms: Iterable[tuple[CurveClass, int, int, int, int]]) -> MultiSeries:
+    """exp of sum m J(r, beta, r + n) y^beta z^k, over (beta, k, m, r, n)
+    in terms and the padded window, then _reported: the padding strip
+    absorbs the tails of the factors cut at the window.
+
+    J depends on its vector only through the Mukai square
+    beta^2 - 2r(r + n) and the divisibility gcd(a, b, r, n), so it is
+    looked up once per such key.  The exponent is summed in integer
+    numerators over D, the lcm of the denominators of the J values, and
+    made one Fraction per (beta, k)."""
+    js: dict[tuple[int, int], Fraction] = {}
+    listed = []
+    for beta, k, m, r, n in terms:
+        key = (beta.self_intersection() - 2 * r * (r + n), math.gcd(beta.a, beta.b, r, n))
+        if key not in js:
+            js[key] = conjectural_J(MukaiVector(r, beta, r + n))
+        listed.append(((beta, k), m, key))
+    den = math.lcm(*(j.denominator for j in js.values()))
+    num = {key: j.numerator * (den // j.denominator) for key, j in js.items()}
+    arg: dict[tuple[CurveClass, int], int] = {}
+    for bk, m, key in listed:
+        arg[bk] = arg.get(bk, 0) + m * num[key]
+    series = MultiSeries(params.y_max, params.work_window,
+                         {bk: Fraction(v, den) for bk, v in arg.items()})
+    return _reported(exp(series), params, label)
 
 
 def pt_main(params: PTParams) -> MultiSeries:
     """Exponential form of the stable-pair series: the exponent of
     y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r."""
     return _exp_sum(params, "pt_main", (
-        (beta, z, (n + 2 * r) * conjectural_J(MukaiVector(r, beta, r + n))
-         * (_signed_weight(n) if params.signed else 1))
+        (beta, z, (n + 2 * r) * (_signed_weight(n) if params.signed else 1), r, n)
         for beta, r, n, z in _index_terms(params, covers=True)))
 
 
@@ -178,8 +195,9 @@ def pt_xbar(params: PTParams) -> MultiSeries:
     if params.signed:
         raise ValueError("the base-change series has no signed variant")
 
-    def term(beta: CurveClass, r: int, n: int) -> tuple[CurveClass, int, Fraction]:
-        return beta, n, _eps(r + n) * (n + 2 * r) * N_from_J(r, beta, n)
+    def term(beta: CurveClass, r: int, n: int) -> tuple[CurveClass, int, int, int, int]:
+        # N(r, beta, n) = 2 J(r, beta, r + n)
+        return beta, n, 2 * _eps(r + n) * (n + 2 * r), r, n
 
     return _exp_sum(params, "pt_xbar", (
         term(beta, r if z >= 0 else -r, z)

@@ -12,22 +12,29 @@ Two series types, both with exact coefficients; a float is refused:
 
 MultiSeries keeps its terms in a sparse map; a LaurentPoly, and so each
 QZSeries row, is a dense row with nonzero ends.  Every product convolves
-dense rows with one kernel, _row_sum.  MultiSeries products, exp and log
-convert once into integer blocks (per weight, the class coordinate a maps
-to a dense z-row of numerators over one common denominator) and back at
-the end; log runs exp's recurrence backwards.  LaurentPoly and QZSeries
-products, and QZSeries inverses, run on the stored rows directly.
+dense rows with one kernel, _row_sum, by Kronecker substitution: rows
+become big integers with fixed-width slots, so each row product is one
+big-integer product.  MultiSeries products, exp and log convert once into
+integer blocks (per weight, the class coordinate a maps to a dense z-row
+of numerators over one common denominator) and back at the end.  exp and
+log share one grading recurrence, which keeps each weight as integer
+numerators over a denominator reduced by their common gcd.  LaurentPoly
+and QZSeries products, and QZSeries inverses, run on the stored rows
+directly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .lattice import ZERO_CLASS, CurveClass
 
 Coeff = int | Fraction
+_NUM = attrgetter("numerator")
+_DEN = attrgetter("denominator")
 
 
 class ConsistencyError(Exception):
@@ -295,15 +302,13 @@ def exp(a: MultiSeries) -> MultiSeries:
 
     With A_k the weight-k part of a and E_w that of exp(a), the grading
     derivation gives w E_w = sum_{k=1..w} k A_k E_{w-k} (Brent-Kung), a
-    finite recurrence because weights only add.  On integer blocks,
-    A_k = N_k / D with D the lcm of the denominators and
-    E_w = P_w / (D^w w!), so that
-    P_w = sum_k k D^(k-1) (w-1)!/(w-k)! N_k P_{w-k} in integers.
+    finite recurrence because weights only add: _graded with
+    gamma(w, k) = k / w, from E_0 = 1.
     """
     for (cls, _k) in a._c:
         if cls.weight == 0:
             raise ValueError("exp needs every term to carry a nonzero curve class")
-    return _graded(a, lambda w, k: k * math.perm(w - 1, k - 1))
+    return _graded(a, lambda w, k: Fraction(k, w))
 
 
 def log(a: MultiSeries) -> MultiSeries:
@@ -311,38 +316,49 @@ def log(a: MultiSeries) -> MultiSeries:
 
     exp's relation w F_w = sum_{k=1..w} k L_k F_{w-k}, with F = a and
     L = log(a), solved for L_w: F_0 = 1, so
-    L_w = F_w - (1/w) sum_{k<w} k L_k F_{w-k}.  On integer blocks,
-    F_k = N_k / D and L_w = M_w / (D^w w!), so that
-    M_w = D^(w-1) w! N_w - sum_{k<w} (w-1)!/(w-k-1)! D^(k-1) N_k M_{w-k}:
-    exp's recurrence run from M_0 = 1, with coefficient w! at k = w and
-    -(w-1)!/(w-k-1)! below it.  That 1 is not part of the logarithm.
+    L_w = F_w - sum_{k<w} ((w - k) / w) F_k L_{w-k}.  That is _graded
+    with gamma(w, w) = 1 and gamma(w, k) = -(w - k) / w below it, run
+    from L_0 = 1, which is not part of the logarithm.
     """
     if a.coeff(ZERO_CLASS, 0) != 1:
         raise ValueError("log needs constant term 1")
     for (cls, k) in a._c:
         if cls.weight == 0 and (cls, k) != (ZERO_CLASS, 0):
             raise ValueError("log needs every non-constant term to carry a nonzero curve class")
-    out = _graded(a, lambda w, k: math.factorial(w) if k == w else -math.perm(w - 1, k))
+    out = _graded(a, lambda w, k: Fraction(k - w, w) if k < w else Fraction(1))
     del out._c[(ZERO_CLASS, 0)]
     return out
 
 
-def _graded(a: MultiSeries, coeff) -> MultiSeries:
-    """The series S = sum_w P_w / (D^w w!) with P_0 = 1 (if z^0 is in the
-    window) and P_w = sum_{k=1..w} coeff(w, k) D^(k-1) N_k P_{w-k}, where
-    the weight-k part of a is N_k / D in integer blocks; each P_w is cut
-    to the window."""
+def _graded(a: MultiSeries, gamma) -> MultiSeries:
+    """The series S = sum_w S_w with S_0 = 1 (if z^0 is in the window)
+    and S_w = sum_{k=1..w} gamma(w, k) A_k S_{w-k}, A_k the weight-k
+    part of a; each S_w is cut to the window.
+
+    In integer blocks A_k = N_k / D, and S_j = P_j / d_j is kept
+    reduced.  Step w puts its terms over D L, with L the lcm of
+    den(gamma(w, k)) d_{w-k} over the k whose term is nonzero, and then
+    divides P_w and d_w = D L by the gcd of d_w and every entry of P_w.
+    """
     den, n = _blocks(a)
     p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
+    d = [1]
     for w in range(1, a.y_max + 1):
+        terms = [(k, gamma(w, k)) for k in range(1, w + 1) if n[k] and p[w - k]]
+        lcm = math.lcm(*(g.denominator * d[w - k] for k, g in terms))
         pairs = []
-        for k in range(1, w + 1):
-            c = coeff(w, k) * den ** (k - 1)
+        for k, g in terms:
+            c = g.numerator * (lcm // (g.denominator * d[w - k]))
             pairs.append(({x: (xlo, [c * v for v in row]) for x, (xlo, row) in n[k].items()},
                           p[w - k]))
-        p.append(_block_product(pairs, a.z_lo, a.z_hi))
-    dens = [den ** w * math.factorial(w) for w in range(a.y_max + 1)]
-    return _from_blocks(a.y_max, a.z_window, p, dens)
+        block = _block_product(pairs, a.z_lo, a.z_hi)
+        dw = den * lcm
+        g = math.gcd(dw, *(math.gcd(*row) for _, row in block.values()))
+        if g > 1:
+            block = {x: (xlo, [v // g for v in row]) for x, (xlo, row) in block.items()}
+        p.append(block)
+        d.append(dw // g)
+    return _from_blocks(a.y_max, a.z_window, p, d)
 
 
 def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
@@ -432,19 +448,56 @@ class QZSeries:
 
 def _row_sum(pairs: list) -> tuple[int, list]:
     """Sum of the products of ((lo, row), (lo, row)) pairs of dense rows,
-    as a trimmed row."""
-    if not pairs:
+    as a trimmed row, by Kronecker substitution.
+
+    Each distinct row is scaled to integers v_i by the lcm d of its
+    denominators and packed once into X = sum_i v_i 2^(s i).  A pair's
+    product X_a X_b packs the product of its rows; shifted by the pair's
+    offset and multiplied by m = D / (d_a d_b), with D the lcm of the
+    d_a d_b, the pairs sum to T = sum_k C_k 2^(s k), where C_k is D times
+    the coefficient sought.
+
+    Slot width: C_k sums, over the pairs, m times at most
+    min(len a, len b) products, each at most max|a| max|b| in size, so
+    |C_k| <= B = sum_pairs m min(len a, len b) max|a| max|b|.  s is the
+    least multiple of 8 with 2^(s-1) > B.  Every digit C_k + 2^(s-1) then
+    lies in [1, 2^s - 1], so T plus 2^(s-1) in every slot is the base-2^s
+    number with those digits: no carry crosses a slot, and each slot
+    reads back as a byte slice minus the bias.  Rows with a nonzero
+    entry have max|v| <= B, so they pack by the same bias, as joined
+    byte slots: Horner's x << s would copy the whole integer per slot.
+    """
+    live = [(la + lb, a, b) for (la, a), (lb, b) in pairs if any(a) and any(b)]
+    if not live:
         return 0, []
-    lo = min(la + lb for (la, _), (lb, _) in pairs)
-    acc: list = [0] * (max(la + len(a) + lb + len(b) for (la, a), (lb, b) in pairs) - lo - 1)
-    for (la, a), (lb, b) in pairs:
-        if len(a) > len(b):
-            a, b = b, a
-        n = len(b)
-        for i, x in enumerate(a, la + lb - lo):
-            if x:
-                acc[i:i + n] = [u + x * y for u, y in zip(acc[i:i + n], b)]
-    return _trim(lo, acc)
+    rows = {id(row): row for _, a, b in live for row in (a, b)}
+    dens = {i: math.lcm(*map(_DEN, row)) for i, row in rows.items()}
+    ints = {i: list(map(_NUM, row)) if dens[i] == 1
+            else [v.numerator * (dens[i] // v.denominator) for v in row]
+            for i, row in rows.items()}
+    size = {i: max(map(abs, row)) for i, row in ints.items()}
+    den = math.lcm(*(dens[id(a)] * dens[id(b)] for _, a, b in live))
+    bound = sum(den // (dens[id(a)] * dens[id(b)]) * min(len(a), len(b))
+                * size[id(a)] * size[id(b)] for _, a, b in live)
+    nb = bound.bit_length() // 8 + 1
+    half = 1 << (8 * nb - 1)
+    packed = {i: int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in row]),
+                                "little") - _bias(nb, len(row))
+              for i, row in ints.items()}
+    lo = min(off for off, _, _ in live)
+    width = max(off + len(a) + len(b) - 1 for off, a, b in live) - lo
+    total = 0
+    for off, a, b in live:
+        m = den // (dens[id(a)] * dens[id(b)])
+        total += (packed[id(a)] * packed[id(b)] * m) << (8 * nb * (off - lo))
+    buf = (total + _bias(nb, width)).to_bytes(nb * width, "little")
+    row = [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, nb * width, nb)]
+    return _trim(lo, row if den == 1 else [Fraction(v, den) for v in row])
+
+
+def _bias(nb: int, n: int) -> int:
+    """2^(8 nb - 1) in each of n slots of nb bytes."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 
 def _blocks(series: MultiSeries) -> tuple[int, list[dict[int, tuple[int, list]]]]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,17 @@ def test_J_depends_only_on_square_and_divisibility(v, w):
     if (v.mukai_square() == w.mukai_square()
             and v.divisibility() == w.divisibility()):
         assert conjectural_J(v) == conjectural_J(w)
+
+
+def test_J_is_a_function_of_square_and_divisibility_on_a_box():
+    # the pair series looks J up once per (square, divisibility) key
+    seen = {}
+    for r, a, b, n in itertools.product(range(-6, 7), repeat=4):
+        v = MukaiVector(r, CurveClass(a, b), n)
+        if v.is_zero():
+            continue
+        key = (v.mukai_square(), v.divisibility())
+        assert seen.setdefault(key, conjectural_J(v)) == conjectural_J(v), v
 
 
 @given(vectors)

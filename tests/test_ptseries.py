@@ -21,6 +21,12 @@ from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, pow_binomial
 PT_MAIN_8_SHA256 = "092c4cbd390c6617e7fcb0a820bb6ae06fcb59d555e913679366df0f0824fa1e"
 PT_MAIN_8_SIGNED_SHA256 = "21c12a4b3d2288d0a17e2e9f32f25cd43c1a23b58d63fc29764ec12f8c881a4b"
 PT_XBAR_6_SHA256 = "f210dc9111981c7662a7a6a21d4e793ef0952693dcb795b642f19a9f0c63d824"
+# the same for pt_main(PTParams(12, 14)) in both signs and pt_xbar(PTParams(8, 10)),
+# recorded from the exponent summed in Fractions and exp's D^w w! denominators;
+# divisibility up to 12 gives the largest exponent denominators
+PT_MAIN_12_SHA256 = "bb6e869e53334fe34b38f2aeceb5a9113bafcaabc91c50130e48cd1716419cbc"
+PT_MAIN_12_SIGNED_SHA256 = "d97a532a275255a43a475f6735e2d2f81762a9781d81707853170bab06df5609"
+PT_XBAR_8_SHA256 = "3f5eebd7f37c70de3a6c4ff4683c5aba0373584e27a7f743bf3f573ef732ea86"
 
 
 def corrupt(series, klass, z_exp, delta):
@@ -119,6 +125,12 @@ def test_pairs_path_digests_at_y_8():
     assert sha256_terms(pt_main(PTParams(8, 10))) == PT_MAIN_8_SHA256
     assert sha256_terms(pt_main(PTParams(8, 10, True))) == PT_MAIN_8_SIGNED_SHA256
     assert sha256_terms(pt_xbar(PTParams(6, 8))) == PT_XBAR_6_SHA256
+
+
+def test_pairs_path_digests_at_y_12():
+    assert sha256_terms(pt_main(PTParams(12, 14))) == PT_MAIN_12_SHA256
+    assert sha256_terms(pt_main(PTParams(12, 14, True))) == PT_MAIN_12_SIGNED_SHA256
+    assert sha256_terms(pt_xbar(PTParams(8, 10))) == PT_XBAR_8_SHA256
 
 
 def test_signed_and_unsigned_differ():

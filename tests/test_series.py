@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from localk3.lattice import CurveClass, ZERO_CLASS
 from localk3.ptseries import PTParams, pt_main
-from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, exp, log,
-                            pow_binomial, qz_invert, qz_mul)
+from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _row_sum, _trim,
+                            exp, log, pow_binomial, qz_invert, qz_mul)
 
 X = CurveClass(0, 1)  # weight-1 class, used as a one-variable stand-in
 
@@ -506,3 +506,72 @@ def test_float_coefficients_are_refused():
         MultiSeries.one(1, (0, 0)).scale(0.5)
     with pytest.raises(TypeError):
         0.5 * MultiSeries.one(1, (0, 0))
+
+
+def row_sum_by_schoolbook(pairs):
+    """The convolution loop that _row_sum replaced: one Python step per
+    coefficient product.  The oracle for the Kronecker kernel."""
+    if not pairs:
+        return 0, []
+    lo = min(la + lb for (la, _), (lb, _) in pairs)
+    acc = [0] * (max(la + len(a) + lb + len(b) for (la, a), (lb, b) in pairs) - lo - 1)
+    for (la, a), (lb, b) in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(b)
+        for i, x in enumerate(a, la + lb - lo):
+            if x:
+                acc[i:i + n] = [u + x * y for u, y in zip(acc[i:i + n], b)]
+    return _trim(lo, acc)
+
+
+def typed(result):
+    lo, row = result
+    return lo, row, [type(v) for v in row]
+
+
+row_values = st.one_of(
+    st.integers(-2**400, 2**400), st.integers(-3, 3), st.just(0),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-2**400, 2**400), st.integers(1, 2**64)))
+
+
+@st.composite
+def row_pairs(draw):
+    """Up to 8 pairs drawn from a pool of rows, so a row can recur in
+    several pairs; rows may be empty, have zero interiors or ends, and
+    mix ints with Fractions of different denominators."""
+    pool = draw(st.lists(st.lists(row_values, max_size=12), min_size=1, max_size=6))
+    index = st.integers(0, len(pool) - 1)
+    offset = st.integers(-10, 10)
+    return [((draw(offset), pool[draw(index)]), (draw(offset), pool[draw(index)]))
+            for _ in range(draw(st.integers(0, 8)))]
+
+
+@given(row_pairs())
+def test_kronecker_row_sum_matches_schoolbook(pairs):
+    assert typed(_row_sum(pairs)) == typed(row_sum_by_schoolbook(pairs))
+
+
+def test_row_sum_of_cancelling_pairs_is_empty():
+    a, b = [3, 0, -7, 2**200], [1, -1]
+    assert _row_sum([((0, a), (-2, b)), ((-3, [-v for v in a]), (1, b))]) == (0, [])
+    h = [Fraction(1, 3), 0, Fraction(-5, 7)]
+    assert _row_sum([((1, h), (0, h)), ((0, h), (1, [-v for v in h]))]) == (0, [])
+    assert _row_sum([]) == (0, []) and _row_sum([((0, []), (0, [1]))]) == (0, [])
+    assert _row_sum([((0, [0, 0]), (5, [2**90]))]) == (0, [])
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 400])
+def test_row_sum_at_the_slot_bound(k):
+    # all 2^k - 1 against all -(2^k - 1): every product is as large as
+    # the bound allows, and the middle slot sums min(len a, len b) of
+    # them with one sign (times the number of pairs), so it meets the bound
+    top = 2**k - 1
+    for n in (1, 2, 3, 255, 256):
+        plus, minus = [top] * n, [-top] * n
+        tent = [min(i + 1, 2 * n - 1 - i) for i in range(2 * n - 1)]
+        for pairs, lo, sign in (([((0, plus), (0, minus))], 0, -1),
+                                ([((0, minus), (0, minus))], 0, 1),
+                                ([((2, plus), (-3, minus))] * 8, -1, -8)):
+            assert _row_sum(pairs) == (lo, [sign * top * top * t for t in tent])
