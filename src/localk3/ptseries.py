@@ -36,8 +36,8 @@ from typing import Callable, Iterable, Iterator
 from .invariants import conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import inv_delta
-from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries,
-                     _from_blocks, exp, log, pow_binomial)
+from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, exp,
+                     log, pow_binomial)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def pt_borcherds(params: PTParams) -> MultiSeries:
                         acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
                     else:
                         acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
-    return _reported(_from_blocks(y, window, blocks, [1] * (y + 1)), params, "pt_borcherds")
+    return _reported(MultiSeries._of(y, window, 1, blocks), params, "pt_borcherds")
 
 
 def pt_xbar(params: PTParams) -> MultiSeries:
@@ -371,14 +371,14 @@ def gv_extract(pt: MultiSeries, signed: bool = False) -> BPSTable:
         if h > w:
             raise ValueError(f"z-window too small for class {beta} (needs {h}, has {w})")
         lim = max(h, -1)
-        offenders = [(beta, j, row.coeff(j)) for j in range(-w, w + 1)
-                     if abs(j) > lim and row.coeff(j)]
+        items = row.items()
+        offenders = [(beta, j, c) for j, c in items if lim < abs(j) <= w]
         if offenders:
             raise ConsistencyError(
                 f"class {beta} has support beyond |z^{lim}|", offenders)
         if h < 0:
             continue
-        restricted = LaurentPoly({j: row.coeff(j) for j in range(-h, h + 1)})
+        restricted = LaurentPoly({j: c for j, c in items if abs(j) <= h})
         try:
             decomposition = _kernel_decompose(restricted)
         except ValueError as err:

@@ -10,17 +10,16 @@ Two series types, both with exact coefficients; a float is refused:
 * QZSeries: series in q whose coefficients are Laurent polynomials in
   z, exact on a q-range [q_min, q_max].  q_min may be negative.
 
-MultiSeries keeps its terms in a sparse map; a LaurentPoly, and so each
-QZSeries row, is a dense row with nonzero ends.  Every product convolves
-dense rows with one kernel, _row_sum, by Kronecker substitution: rows
-become big integers with fixed-width slots, so each row product is one
-big-integer product.  MultiSeries products, exp and log convert once into
-integer blocks (per weight, the class coordinate a maps to a dense z-row
-of numerators over one common denominator) and back at the end.  exp and
-log share one grading recurrence, which keeps each weight as integer
-numerators over a denominator reduced by their common gcd.  LaurentPoly
-and QZSeries products, and QZSeries inverses, run on the stored rows
-directly.
+MultiSeries stores integer blocks: per weight, the class coordinate a
+maps to a dense z-row of numerators over one common denominator, kept
+reduced so that equal series are stored alike.  A LaurentPoly, and so
+each QZSeries row, is a dense row with nonzero ends.  Every product
+convolves dense rows with one kernel, _row_sum, by Kronecker
+substitution: rows become big integers with fixed-width slots, so each
+row product is one big-integer product.  exp and log share one grading
+recurrence, which keeps each weight as integer numerators over a
+denominator reduced by their common gcd.  Products, sums, exp, log and
+QZSeries inverses all run on the stored rows directly.
 """
 
 from __future__ import annotations
@@ -164,30 +163,57 @@ KY_KERNEL = LaurentPoly({1: 1, 0: -2, -1: 1})
 
 
 class MultiSeries:
-    """Sparse series sum c * y^beta * z^k, truncated in weight and z.
-    Class weights must be >= 0; the grading makes exp and log finite."""
+    """Series sum c * y^beta * z^k, truncated in weight and z, stored as
+    graded integer blocks in the canonical form of _of.  Class weights
+    must be >= 0; the grading makes exp and log finite."""
 
-    __slots__ = ("y_max", "z_lo", "z_hi", "_c")
+    __slots__ = ("y_max", "z_lo", "z_hi", "_den", "_blocks")
 
     def __init__(self, y_max: int, z_window: tuple[int, int],
                  coeffs: Mapping[tuple[CurveClass, int], Coeff] | None = None):
         z_lo, z_hi = z_window
         if y_max < 0 or z_lo > z_hi:
             raise ValueError("need y_max >= 0 and z_lo <= z_hi")
-        self.y_max = y_max
-        self.z_lo = z_lo
-        self.z_hi = z_hi
-        c: dict[tuple[CurveClass, int], Fraction] = {}
-        if coeffs:
-            for (cls, k), v in coeffs.items():
-                if cls.weight < 0:
-                    raise ValueError(f"class {cls} has negative weight")
-                if cls.weight > y_max or not (z_lo <= k <= z_hi):
-                    continue
-                v = _frac(v)
-                if v:
-                    c[(cls, k)] = v
-        self._c = c
+        c = {key: _frac(v) for key, v in (coeffs or {}).items()}
+        den = math.lcm(*map(_DEN, c.values()))
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(y_max + 1)]
+        for (cls, k), v in c.items():
+            if cls.weight < 0:
+                raise ValueError(f"class {cls} has negative weight")
+            if cls.weight <= y_max and z_lo <= k <= z_hi:
+                rows[cls.weight].setdefault(cls.a, {})[k] = v.numerator * (den // v.denominator)
+        out = MultiSeries._of(y_max, z_window, den,
+                              [{a: _dense(r) for a, r in block.items()} for block in rows])
+        self.y_max, self.z_lo, self.z_hi = y_max, z_lo, z_hi
+        self._den, self._blocks = out._den, out._blocks
+
+    @classmethod
+    def _of(cls, y_max: int, z_window: tuple[int, int], den: int,
+            blocks: list[dict[int, tuple[int, list[int]]]]) -> MultiSeries:
+        """The series whose weight-w block, w = 0..y_max, is blocks[w]:
+        {a: (lo, row)}, the z-row of the class a*s + (w - a)*f, in integer
+        numerators over den > 0.  It is stored canonically as _den and
+        _blocks: rows cut to the window with nonzero ends, empty classes
+        dropped, and den and every numerator divided by their gcd."""
+        out = cls.__new__(cls)
+        out.y_max = y_max
+        out.z_lo, out.z_hi = lo, hi = z_window
+        kept = []
+        for block in blocks:
+            cut = {}
+            for a, (rlo, row) in block.items():
+                rlo, row = _trim(max(lo, rlo), row[max(lo - rlo, 0):max(hi - rlo + 1, 0)])
+                if row:
+                    cut[a] = (rlo, row)
+            kept.append(cut)
+        if den != 1:
+            g = math.gcd(den, *(math.gcd(*row) for block in kept for _, row in block.values()))
+            if g > 1:
+                den //= g
+                kept = [{a: (rlo, [v // g for v in row]) for a, (rlo, row) in block.items()}
+                        for block in kept]
+        out._den, out._blocks = den, kept
+        return out
 
     @classmethod
     def zero(cls, y_max: int, z_window: tuple[int, int]) -> MultiSeries:
@@ -202,27 +228,33 @@ class MultiSeries:
         return (self.z_lo, self.z_hi)
 
     def coeff(self, klass: CurveClass, z_exp: int) -> Fraction:
-        return self._c.get((klass, z_exp), Fraction(0))
+        w = klass.weight
+        lo, row = self._blocks[w].get(klass.a, (0, [])) if 0 <= w <= self.y_max else (0, [])
+        i = z_exp - lo
+        return Fraction(row[i], self._den) if 0 <= i < len(row) else Fraction(0)
 
     def terms(self) -> Iterator[tuple[CurveClass, int, Fraction]]:
         """Terms sorted by (weight, a, z) for deterministic output."""
-        def key(item: tuple[tuple[CurveClass, int], Fraction]):
-            (cls, k), _ = item
-            return (cls.weight, cls.a, k)
-        for (cls, k), v in sorted(self._c.items(), key=key):
-            yield cls, k, v
+        den = self._den
+        for w, block in enumerate(self._blocks):
+            for a in sorted(block):
+                lo, row = block[a]
+                cls = CurveClass(a, w - a)
+                for k, v in enumerate(row, lo):
+                    if v:
+                        yield cls, k, Fraction(v, den)
 
     def support_z_min(self) -> int | None:
-        return min((k for (_, k) in self._c), default=None)
+        return min((lo for block in self._blocks for lo, _ in block.values()), default=None)
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not any(self._blocks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return (self.y_max, self.z_lo, self.z_hi, self._c) == (
-            other.y_max, other.z_lo, other.z_hi, other._c)
+        return (self.y_max, self.z_lo, self.z_hi, self._den, self._blocks) == (
+            other.y_max, other.z_lo, other.z_hi, other._den, other._blocks)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -236,33 +268,25 @@ class MultiSeries:
         return self.y_max, lo, hi
 
     def __add__(self, other: MultiSeries) -> MultiSeries:
+        """Sum on the window intersection, over the lcm of the denominators."""
         y, lo, hi = self._meet(other)
-        c = {k: v for k, v in self._c.items() if lo <= k[1] <= hi}
-        for key, v in other._c.items():
-            if lo <= key[1] <= hi:
-                w = c.get(key, Fraction(0)) + v
-                if w:
-                    c[key] = w
-                else:
-                    c.pop(key, None)
-        out = MultiSeries(y, (lo, hi))
-        out._c = c
-        return out
+        den = math.lcm(self._den, other._den)
+        su, ou = ({0: (0, [den // s._den])} for s in (self, other))
+        return MultiSeries._of(y, (lo, hi), den, [
+            _block_product([(sb, su), (ob, ou)], lo, hi)
+            for sb, ob in zip(self._blocks, other._blocks)])
 
     def __neg__(self) -> MultiSeries:
-        out = MultiSeries(self.y_max, (self.z_lo, self.z_hi))
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other: MultiSeries) -> MultiSeries:
         return self + (-other)
 
     def scale(self, k: Coeff) -> MultiSeries:
         k = _frac(k)
-        out = MultiSeries(self.y_max, (self.z_lo, self.z_hi))
-        if k:
-            out._c = {key: v * k for key, v in self._c.items()}
-        return out
+        return MultiSeries._of(self.y_max, self.z_window, self._den * k.denominator, [
+            {a: (lo, [v * k.numerator for v in row]) for a, (lo, row) in block.items()}
+            for block in self._blocks])
 
     def __mul__(self, other: MultiSeries | Coeff) -> MultiSeries:
         if isinstance(other, MultiSeries):
@@ -277,22 +301,19 @@ class MultiSeries:
         intersection.  Runs on integer blocks: weight w of the product
         collects the block products of weights w1 + w2 = w."""
         y, lo, hi = self._meet(other)
-        da, a = _blocks(self)
-        db, b = _blocks(other)
-        prod = [_block_product([(a[i], b[w - i]) for i in range(w + 1)], lo, hi)
-                for w in range(y + 1)]
-        return _from_blocks(y, (lo, hi), prod, [da * db] * (y + 1))
+        a, b = self._blocks, other._blocks
+        return MultiSeries._of(y, (lo, hi), self._den * other._den, [
+            _block_product([(a[i], b[w - i]) for i in range(w + 1)], lo, hi)
+            for w in range(y + 1)])
 
     def restrict(self, z_lo: int, z_hi: int) -> MultiSeries:
         """Narrow the z-window, discarding terms outside it."""
         if z_lo < self.z_lo or z_hi > self.z_hi:
             raise ValueError("restrict cannot widen the z-window")
-        out = MultiSeries(self.y_max, (z_lo, z_hi))
-        out._c = {k: v for k, v in self._c.items() if z_lo <= k[1] <= z_hi}
-        return out
+        return MultiSeries._of(self.y_max, (z_lo, z_hi), self._den, self._blocks)
 
     def __str__(self) -> str:
-        if not self._c:
+        if self.is_zero():
             return "0"
         return " + ".join(f"{v}*y^({cls})*z^{k}" for cls, k, v in self.terms())
 
@@ -305,9 +326,8 @@ def exp(a: MultiSeries) -> MultiSeries:
     finite recurrence because weights only add: _graded with
     gamma(w, k) = k / w, from E_0 = 1.
     """
-    for (cls, _k) in a._c:
-        if cls.weight == 0:
-            raise ValueError("exp needs every term to carry a nonzero curve class")
+    if a._blocks[0]:
+        raise ValueError("exp needs every term to carry a nonzero curve class")
     return _graded(a, lambda w, k: Fraction(k, w))
 
 
@@ -320,27 +340,25 @@ def log(a: MultiSeries) -> MultiSeries:
     with gamma(w, w) = 1 and gamma(w, k) = -(w - k) / w below it, run
     from L_0 = 1, which is not part of the logarithm.
     """
-    if a.coeff(ZERO_CLASS, 0) != 1:
-        raise ValueError("log needs constant term 1")
-    for (cls, k) in a._c:
-        if cls.weight == 0 and (cls, k) != (ZERO_CLASS, 0):
-            raise ValueError("log needs every non-constant term to carry a nonzero curve class")
-    out = _graded(a, lambda w, k: Fraction(k - w, w) if k < w else Fraction(1))
-    del out._c[(ZERO_CLASS, 0)]
-    return out
+    if a._blocks[0] != {0: (0, [a._den])}:
+        raise ValueError("log needs constant term 1 and every other term"
+                         " to carry a nonzero curve class")
+    return _graded(a, lambda w, k: Fraction(k - w, w) if k < w else Fraction(1),
+                   constant=False)
 
 
-def _graded(a: MultiSeries, gamma) -> MultiSeries:
+def _graded(a: MultiSeries, gamma, constant: bool = True) -> MultiSeries:
     """The series S = sum_w S_w with S_0 = 1 (if z^0 is in the window)
     and S_w = sum_{k=1..w} gamma(w, k) A_k S_{w-k}, A_k the weight-k
-    part of a; each S_w is cut to the window.
+    part of a; each S_w is cut to the window.  S_0 is left out of the
+    result unless constant.
 
     In integer blocks A_k = N_k / D, and S_j = P_j / d_j is kept
     reduced.  Step w puts its terms over D L, with L the lcm of
     den(gamma(w, k)) d_{w-k} over the k whose term is nonzero, and then
     divides P_w and d_w = D L by the gcd of d_w and every entry of P_w.
     """
-    den, n = _blocks(a)
+    den, n = a._den, a._blocks
     p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
     d = [1]
     for w in range(1, a.y_max + 1):
@@ -358,7 +376,12 @@ def _graded(a: MultiSeries, gamma) -> MultiSeries:
             block = {x: (xlo, [v // g for v in row]) for x, (xlo, row) in block.items()}
         p.append(block)
         d.append(dw // g)
-    return _from_blocks(a.y_max, a.z_window, p, d)
+    if not constant:
+        p[0] = {}
+    top = math.lcm(*d)
+    return MultiSeries._of(a.y_max, a.z_window, top, [
+        {x: (xlo, [v * (top // dw) for v in row]) for x, (xlo, row) in block.items()}
+        for block, dw in zip(p, d)])
 
 
 def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
@@ -372,18 +395,13 @@ def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
         raise ValueError("base class must be effective and nonzero")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    coeffs: dict[tuple[CurveClass, int], Coeff] = {}
-    z_lo, z_hi = z_window
+    blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(y_max + 1)]
     for k in range(y_max // base_class.weight + 1):
-        z = k * z_exp
-        if not (z_lo <= z <= z_hi):
-            continue
         # C(e, k) = (-1)^k C(k - e - 1, k) extends the binomial to e < 0
         c = sign ** k * (math.comb(exponent, k) if exponent >= 0
                          else (-1) ** k * math.comb(k - exponent - 1, k))
-        if c:
-            coeffs[(k * base_class, z)] = c
-    return MultiSeries(y_max, z_window, coeffs)
+        blocks[k * base_class.weight][k * base_class.a] = (k * z_exp, [c])
+    return MultiSeries._of(y_max, z_window, 1, blocks)
 
 
 class QZSeries:
@@ -500,17 +518,6 @@ def _bias(nb: int, n: int) -> int:
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 
-def _blocks(series: MultiSeries) -> tuple[int, list[dict[int, tuple[int, list]]]]:
-    """(D, blocks) of a series: blocks[w][a] is the dense z-row of the
-    class a*s + (w - a)*f, in integer numerators over D, the lcm of the
-    denominators."""
-    den = math.lcm(*(v.denominator for v in series._c.values()))
-    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(series.y_max + 1)]
-    for (cls, k), v in series._c.items():
-        rows[cls.weight].setdefault(cls.a, {})[k] = v.numerator * (den // v.denominator)
-    return den, [{a: _dense(r) for a, r in block.items()} for block in rows]
-
-
 def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]:
     """Sum of the products of (block, block) pairs, class by class, cut
     to the z-window [lo, hi]."""
@@ -525,19 +532,6 @@ def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]
         row = row[max(lo - rlo, 0):max(hi - rlo + 1, 0)]
         if any(row):
             out[a] = (max(lo, rlo), row)
-    return out
-
-
-def _from_blocks(y_max: int, z_window: tuple[int, int], blocks: list[dict],
-                 dens: list[int]) -> MultiSeries:
-    """The series whose weight-w block has numerators over dens[w]."""
-    out = MultiSeries(y_max, z_window)
-    for w, block in enumerate(blocks):
-        for a, (lo, row) in block.items():
-            cls = CurveClass(a, w - a)
-            for k, v in enumerate(row, lo):
-                if v:
-                    out._c[(cls, k)] = Fraction(v, dens[w])
     return out
 
 

@@ -22,10 +22,10 @@ def test_no_assert_statements_in_package():
 def test_checks_survive_optimized_mode():
     script = """
 import sys
-from localk3.lattice import HodgeIsometry
+from localk3.lattice import FIBER, HodgeIsometry
 from localk3.modular import DeltaSeries
 from localk3.ptseries import ConsistencyError, _eps
-from localk3.series import LaurentPoly
+from localk3.series import LaurentPoly, MultiSeries
 assert False, "asserts must be stripped"
 try:
     HodgeIsometry([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -43,10 +43,15 @@ try:
     LaurentPoly({0: 0.5})
 except TypeError:
     print("float coefficient rejected")
+try:
+    MultiSeries(1, (0, 0), {(FIBER, 5): 0.5})
+except TypeError:
+    print("out-of-window float rejected")
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("isometry rejected\norientation rejected\n"
-                           "non-palindromic row rejected\nfloat coefficient rejected\n")
+                           "non-palindromic row rejected\nfloat coefficient rejected\n"
+                           "out-of-window float rejected\n")

@@ -30,10 +30,7 @@ PT_XBAR_8_SHA256 = "3f5eebd7f37c70de3a6c4ff4683c5aba0373584e27a7f743bf3f573ef732
 
 
 def corrupt(series, klass, z_exp, delta):
-    bumped = dict(series._c)
-    key = (klass, z_exp)
-    bumped[key] = bumped.get(key, Fraction(0)) + delta
-    return MultiSeries(series.y_max, series.z_window, bumped)
+    return series + MultiSeries(series.y_max, series.z_window, {(klass, z_exp): delta})
 
 
 def test_pt_params_padding():

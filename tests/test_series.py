@@ -119,6 +119,14 @@ def test_pow_binomial_drops_out_of_window_terms():
     assert s.coeff(xpow(2), 4) == 0  # z^4 is outside the window
 
 
+def test_pow_binomial_stores_only_nonzero_terms():
+    # (1 + y^X z)^2 = 1 + 2 y^X z + y^2X z^2: C(2, k) = 0 for k = 3..5 is not stored
+    s = pow_binomial(X, 1, 1, 2, 5, (0, 5))
+    assert [(cls, k, v) for cls, k, v in s.terms()] == [
+        (ZERO_CLASS, 0, 1), (X, 1, 2), (xpow(2), 2, 1)]
+    assert sum(len(row) for block in s._blocks for _, row in block.values()) == 3
+
+
 def test_pow_binomial_rejects_bad_base():
     with pytest.raises(ValueError):
         pow_binomial(ZERO_CLASS, 1, -1, 2, 3, (0, 3))
@@ -203,6 +211,45 @@ def test_exp_recurrence_matches_power_sum(d, y_max, lo, span):
     # lo > 0 puts the constant term outside the window: both give zero
     a = MultiSeries(y_max, (lo, lo + span), d)
     assert exp(a) == exp_by_powers(a)
+
+
+# classes of weight >= 0 with a negative coordinate allowed, z reaching
+# past the window (-3, 3) on both sides
+signed_key = st.tuples(
+    st.tuples(st.integers(-1, 3), st.integers(0, 3)).filter(lambda t: sum(t) >= 0)
+    .map(lambda t: CurveClass(*t)),
+    st.integers(-5, 5))
+signed_dicts = st.dictionaries(signed_key, mixed_coeffs, max_size=8)
+
+
+def assert_canonical(s):
+    # rows trimmed to nonzero ends inside the window, no empty class row,
+    # and the one denominator shares no factor with every numerator
+    assert len(s._blocks) == s.y_max + 1
+    nums = []
+    for block in s._blocks:
+        for lo, row in block.values():
+            assert row and row[0] and row[-1]
+            assert s.z_lo <= lo and lo + len(row) - 1 <= s.z_hi
+            assert all(type(v) is int for v in row)
+            nums += row
+    assert s._den >= 1 and math.gcd(s._den, *nums) == 1
+
+
+@given(signed_dicts, signed_dicts, mixed_coeffs.filter(bool))
+def test_stored_form_is_canonical(da, db, k):
+    y, w = 3, (-3, 3)
+    a, b = MultiSeries(y, w, da), MultiSeries(y, w, db)
+    reference = sorted(((cls, z, Fraction(v)) for (cls, z), v in da.items()
+                        if v and cls.weight <= y and w[0] <= z <= w[1]),
+                       key=lambda t: (t[0].weight, t[0].a, t[1]))
+    assert list(a.terms()) == reference
+    for same in (a * MultiSeries.one(y, w), MultiSeries(y, (-5, 5), da).restrict(*w),
+                 a + MultiSeries.zero(y, w), a.scale(k).scale(1 / k), (a - b) + b):
+        assert same == a
+        assert_canonical(same)
+    for s in (a, b, a * b, a - b, a.scale(k)):
+        assert_canonical(s)
 
 
 def log_by_powers(a):
@@ -498,6 +545,11 @@ def test_float_coefficients_are_refused():
         LaurentPoly({0: "1/2"})
     with pytest.raises(TypeError):
         MultiSeries(1, (0, 0), {(CurveClass(0, 1), 0): 0.5})
+    # a term that the window or the weight bound would drop is still checked
+    with pytest.raises(TypeError):
+        MultiSeries(1, (0, 0), {(CurveClass(0, 1), 5): 0.5})
+    with pytest.raises(TypeError):
+        MultiSeries(1, (0, 0), {(CurveClass(0, 3), 0): 0.5})
     with pytest.raises(TypeError):
         KY_KERNEL.scale(0.5)
     with pytest.raises(TypeError):
