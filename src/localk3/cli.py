@@ -19,6 +19,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .invariants import conjectural_J, hilb_table
 from .lattice import (CurveClass, HodgeIsometry, MukaiVector, ZERO_CLASS,
@@ -62,13 +63,10 @@ def _series_rows(series) -> list[dict]:
             for cls, k, v in series.terms()]
 
 
-def _mismatch_rows(pairs) -> list[dict]:
-    return [{"class": str(cls), "z": k, "left": _rat(a), "right": _rat(b)}
-            for cls, k, a, b in pairs]
-
-
-def _compare_series(a, b) -> list:
-    return [(cls, k, a.coeff(cls, k), b.coeff(cls, k)) for cls, k, _ in (a - b).terms()]
+def _mismatch_rows(a, b) -> list[dict]:
+    """One row per coefficient in which the series a and b differ."""
+    return [{"class": str(cls), "z": k, "left": _rat(a.coeff(cls, k)),
+             "right": _rat(b.coeff(cls, k))} for cls, k, _ in (a - b).terms()]
 
 
 def _run_hilb(cfg: RunConfig) -> tuple[dict, list]:
@@ -96,8 +94,7 @@ def _run_xbar_verify(cfg: RunConfig) -> tuple[dict, list]:
     squared = single.mul(single).restrict(-cfg.z_max, cfg.z_max)
     double = pt_xbar(PTParams(cfg.y_max, cfg.z_max))
     support = {(cls, k) for s in (double, squared) for cls, k, _ in s.terms()}
-    bad = _compare_series(double, squared)
-    return {"compared": len(support)}, _mismatch_rows(bad)
+    return {"compared": len(support)}, _mismatch_rows(double, squared)
 
 
 def _run_ky_verify(cfg: RunConfig) -> tuple[dict, list]:
@@ -146,57 +143,93 @@ def _run_isometry(cfg: RunConfig) -> tuple[dict, list]:
                         rng.randint(-9, 9))
         if not v.is_zero():
             vectors.append(v)
+    js = [conjectural_J(v) for v in vectors]
     mismatches = []
     images = []
-    for i, v in enumerate(vectors):
+    for i, (v, j) in enumerate(zip(vectors, js)):
         for name, gen in _GENERATORS:
             gv = apply_isometry(gen, v)
+            jg = conjectural_J(gv)
             record = {"vector": str(v), "generator": name, "image": str(gv)}
             if i == 0:
-                images.append({**record, "J": _rat(conjectural_J(gv))})
-            ok = (gv.mukai_square() == v.mukai_square()
-                  and gv.divisibility() == v.divisibility()
-                  and conjectural_J(gv) == conjectural_J(v))
-            if not ok:
-                mismatches.append({**record,
-                                   "J_left": _rat(conjectural_J(gv)),
-                                   "J_right": _rat(conjectural_J(v))})
+                images.append({**record, "J": _rat(jg)})
+            if (gv.mukai_square(), gv.divisibility(), jg) != (
+                    v.mukai_square(), v.divisibility(), j):
+                mismatches.append({**record, "J_left": _rat(jg), "J_right": _rat(j)})
     return {
-        "J": _rat(conjectural_J(vectors[0])),
+        "J": _rat(js[0]),
         "images": images,
         "checked_vectors": len(vectors),
     }, mismatches
 
 
+# subcommand -> (CSV header, rows of its result); the rest report JSON only
+_CSV = {
+    "hilb": (["n", "chi"], lambda result: enumerate(result["table"])),
+    "pt": (["class", "z", "coeff"],
+           lambda result: ([row["class"], row["z"], row["value"]]
+                           for row in result["coefficients"])),
+}
+
+
 def _to_csv(cfg: RunConfig, result: dict) -> str:
+    header, rows = _CSV[cfg.subcommand]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if cfg.subcommand == "hilb":
-        writer.writerow(["n", "chi"])
-        for n, v in enumerate(result["table"]):
-            writer.writerow([n, v])
-    else:  # pt
-        writer.writerow(["class", "z", "coeff"])
-        for row in result["coefficients"]:
-            writer.writerow([row["class"], row["z"], row["value"]])
+    writer.writerow(header)
+    writer.writerows(rows(result))
     return buf.getvalue()
 
 
-_RUNNERS = {
-    "hilb": _run_hilb,
-    "jinv": _run_jinv,
-    "pt": _run_pt,
-    "xbar-verify": _run_xbar_verify,
-    "ky-verify": _run_ky_verify,
-    "bps": _run_bps,
-    "isometry": _run_isometry,
+class _Subcommand(NamedTuple):
+    help: str
+    run: Callable[[RunConfig], tuple[dict, list]]
+    flags: dict[str, dict]  # flag -> argparse keywords; dest is a RunConfig field
+    bounds: dict[str, int]  # integer flag -> lowest value, checked in this order
+
+
+def _int_flag(dest: str, **keywords) -> dict:
+    """argparse keywords of an integer flag, required unless overridden."""
+    return {"type": int, "required": True, "dest": dest, **keywords}
+
+
+_VECTOR = {"required": True, "help": "r;a,b;n", "dest": "vector"}
+
+_SUBCOMMANDS = {
+    "hilb": _Subcommand(
+        "Euler numbers of Hilbert schemes of points", _run_hilb,
+        {"--max": _int_flag("max_n")}, {"--max": 0}),
+    "jinv": _Subcommand(
+        "multiple-cover count J of a Mukai vector", _run_jinv, {"--vector": _VECTOR}, {}),
+    "pt": _Subcommand(
+        "stable-pair series coefficients", _run_pt,
+        {"--y-max": _int_flag("y_max"), "--z-max": _int_flag("z_max"),
+         "--signed": {"action": "store_true", "dest": "signed"}},
+        {"--y-max": 0, "--z-max": 0}),
+    "xbar-verify": _Subcommand(
+        "check the base-change series squares the pair series", _run_xbar_verify,
+        {"--y-max": _int_flag("y_max"), "--z-max": _int_flag("z_max")},
+        {"--y-max": 0, "--z-max": 0}),
+    "ky-verify": _Subcommand(
+        "check the pairs/1-Delta wall identity", _run_ky_verify,
+        {"--q-max": _int_flag("q_max"), "--z-window": _int_flag("z_window")},
+        {"--q-max": -1, "--z-window": 1}),
+    "bps": _Subcommand(
+        "BPS table from 1/Delta, optionally compared with gv extraction", _run_bps,
+        {"--q-max": _int_flag("q_max"), "--y-max": _int_flag("y_max", required=False),
+         "--z-max": _int_flag("z_max", required=False)},
+        {"--y-max": 0, "--z-max": 0, "--q-max": 0}),
+    "isometry": _Subcommand(
+        "lattice-isometry invariance of J", _run_isometry,
+        {"--vector": _VECTOR, "--samples": _int_flag("samples", required=False, default=0)},
+        {"--samples": 0}),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand, write its report, return the exit status."""
     try:
-        result, mismatches = _RUNNERS[config.subcommand](config)
+        result, mismatches = _SUBCOMMANDS[config.subcommand].run(config)
     except ConsistencyError as err:
         result = {"error": str(err)}
         mismatches = [{"entry": [str(x) for x in off]} for off in err.offenders]
@@ -224,97 +257,37 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="localk3",
         description="exact stable-pair and sheaf counting series on local K3 surfaces")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag, keywords in spec.flags.items():
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("hilb", help="Euler numbers of Hilbert schemes of points")
-    p.add_argument("--max", type=int, required=True, dest="max_n")
-    common(p)
-
-    p = sub.add_parser("jinv", help="multiple-cover count J of a Mukai vector")
-    p.add_argument("--vector", required=True, help="r;a,b;n")
-    common(p)
-
-    p = sub.add_parser("pt", help="stable-pair series coefficients")
-    p.add_argument("--y-max", type=int, required=True)
-    p.add_argument("--z-max", type=int, required=True)
-    p.add_argument("--signed", action="store_true")
-    common(p)
-
-    p = sub.add_parser("xbar-verify", help="check the base-change series squares the pair series")
-    p.add_argument("--y-max", type=int, required=True)
-    p.add_argument("--z-max", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("ky-verify", help="check the pairs/1-Delta wall identity")
-    p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--z-window", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("bps", help="BPS table from 1/Delta, optionally compared with gv extraction")
-    p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--y-max", type=int, default=None)
-    p.add_argument("--z-max", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("isometry", help="lattice-isometry invariance of J")
-    p.add_argument("--vector", required=True, help="r;a,b;n")
-    p.add_argument("--samples", type=int, default=0)
-    common(p)
-
     return parser
 
 
 def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
-    def bad(msg: str) -> None:
-        parser.error(msg)
-
-    if cfg.fmt == "csv" and cfg.subcommand not in ("hilb", "pt"):
-        bad("csv output is only available for integer tables (hilb, pt)")
-    if cfg.max_n is not None and cfg.max_n < 0:
-        bad("--max must be >= 0")
-    if cfg.y_max is not None and cfg.y_max < 0:
-        bad("--y-max must be >= 0")
-    if cfg.z_max is not None and cfg.z_max < 0:
-        bad("--z-max must be >= 0")
-    if cfg.q_max is not None:
-        low = 0 if cfg.subcommand == "bps" else -1
-        if cfg.q_max < low:
-            bad(f"--q-max must be >= {low}")
-    if cfg.z_window is not None and cfg.z_window < 1:
-        bad("--z-window must be >= 1")
-    if cfg.samples is not None and cfg.samples < 0:
-        bad("--samples must be >= 0")
+    if cfg.fmt == "csv" and cfg.subcommand not in _CSV:
+        parser.error(f"csv output is only available for integer tables ({', '.join(_CSV)})")
+    spec = _SUBCOMMANDS[cfg.subcommand]
+    for flag, low in spec.bounds.items():
+        value = getattr(cfg, spec.flags[flag]["dest"])
+        if value is not None and value < low:
+            parser.error(f"{flag} must be >= {low}")
     if cfg.subcommand == "bps" and (cfg.y_max is None) != (cfg.z_max is None):
-        bad("bps needs --y-max and --z-max together")
+        parser.error("bps needs --y-max and --z-max together")
     if cfg.vector is not None:
         try:
             v = MukaiVector.parse(cfg.vector)
         except ValueError as err:
-            bad(str(err))
-        else:
-            if v.is_zero():
-                bad("vector must be nonzero")
+            parser.error(str(err))
+        if v.is_zero():
+            parser.error("vector must be nonzero")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        y_max=getattr(ns, "y_max", None),
-        z_max=getattr(ns, "z_max", None),
-        q_max=getattr(ns, "q_max", None),
-        max_n=getattr(ns, "max_n", None),
-        z_window=getattr(ns, "z_window", None),
-        samples=getattr(ns, "samples", None),
-        signed=getattr(ns, "signed", False),
-        vector=getattr(ns, "vector", None),
-        fmt=ns.format,
-        out=ns.out,
-    )
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     _validate(parser, cfg)
     return run(cfg)
 

@@ -14,8 +14,9 @@ Three builds of the same object, used as one another's oracles:
 
       prod (1 - y^beta z^{+-n})^{-(n+2r) chi(Hilb^{beta^2/2 - r(n+r) + 1})}
 
-  over the same index range; the signed variant is
-  prod (1 + (-1)^(n-1) y^beta z^{+-n})^{+(n+2r) chi(...)}.
+  over the same index range, built as one factor per (beta, z): summed
+  over r, its exponent is the Kawai-Yoshioka count ky_pairs_euler(beta^2/2 + 1, z).
+  The signed variant is prod (1 + (-1)^(n-1) y^beta z^{+-n})^{+(n+2r) chi(...)}.
 
 * pt_xbar: the series of the base change, indexed by
   S = {r n > 0} u {r = 0, n > 0} u {r > 0, n = 0} with orientation
@@ -79,19 +80,18 @@ def _signed_weight(n: int) -> int:
     return -1 if n % 2 == 0 else 1
 
 
-def _index_terms(params: PTParams, covers: bool) -> Iterator[tuple[CurveClass, int, int, int]]:
-    """The (beta, r, n, z) factors shared by the three builds, z in the
-    padded window: z = n for r, n >= 0 not both zero, z = -n for r, n >= 1.
+def _index_terms(params: PTParams) -> Iterator[tuple[CurveClass, int, int, int]]:
+    """The (beta, r, n, z) terms of the exponential forms, z in the padded
+    window: z = n for r, n >= 0 not both zero, z = -n for r, n >= 1.
 
-    A factor carries chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1}) for divisors
-    k of (r, beta, r + n), which vanishes unless r(r+n) <= beta^2/2 + k^2.
-    So only r(r+n) <= bound = beta^2/2 + k_max^2 is yielded, with
-    k_max = div beta for the multiple-cover forms (covers) and k_max = 1
-    for the product form; a class with bound < 0 has no factors.
+    A term carries J(r, beta, r + n), a sum of chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1})
+    over divisors k of (r, beta, r + n), which vanishes unless
+    r(r+n) <= bound = beta^2/2 + (div beta)^2.  So only those terms are
+    yielded; a class with bound < 0 has none.
     """
     lo, hi = params.work_window
     for beta in enumerate_effective(params.y_max):
-        k_max = beta.divisibility() if covers else 1
+        k_max = beta.divisibility()
         bound = beta.self_intersection() // 2 + k_max * k_max
         if bound < 0:
             continue
@@ -148,12 +148,14 @@ def pt_main(params: PTParams) -> MultiSeries:
     y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r."""
     return _exp_sum(params, "pt_main", (
         (beta, z, (n + 2 * r) * (_signed_weight(n) if params.signed else 1), r, n)
-        for beta, r, n, z in _index_terms(params, covers=True)))
+        for beta, r, n, z in _index_terms(params)))
 
 
 def pt_borcherds(params: PTParams) -> MultiSeries:
     """Product form of the stable-pair series, one binomial factor per
-    (beta, r, n) with nonzero exponent (n + 2r) chi(Hilb^{beta^2/2 - r(n+r) + 1}).
+    (beta, z): the exponents (n + 2r) chi(Hilb^{beta^2/2 - r(n+r) + 1}),
+    n = |z|, summed over r, are ky_pairs_euler(beta^2/2 + 1, z).  That
+    sum vanishes for beta^2 < -2 and for z < -beta^2/2.
 
     The product is kept as integer blocks of full-window z-rows.  Each
     factor is applied in place from the top weight down, so a
@@ -162,26 +164,31 @@ def pt_borcherds(params: PTParams) -> MultiSeries:
     lo, hi = window = params.work_window
     blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(y + 1)]
     blocks[0][0] = (lo, [int(k == 0) for k in range(lo, hi + 1)])
-    for beta, r, n, z in _index_terms(params, covers=False):
-        e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
-        if not e:
+    for beta in enumerate_effective(y):
+        h = beta.self_intersection() // 2 + 1
+        if h < 0:
             continue
-        if params.signed:
-            factor = pow_binomial(beta, z, _signed_weight(n), e, y, window)
-        else:
-            factor = pow_binomial(beta, z, -1, -e, y, window)
-        steps = [(cls.weight, cls.a, k, v.numerator) for cls, k, v in factor.terms()
-                 if not cls.is_zero()]
-        for w in range(y, 0, -1):
-            for dw, da, s, c in steps:
-                if dw > w:
-                    break
-                for a, (_, row) in blocks[w - dw].items():
-                    acc = blocks[w].setdefault(a + da, (lo, [0] * len(row)))[1]
-                    if s >= 0:
-                        acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
-                    else:
-                        acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
+        for z in range(max(lo, 1 - h), hi + 1):
+            e = ky_pairs_euler(h, z)
+            if not e:
+                continue
+            if params.signed:
+                factor = pow_binomial(beta, z, _signed_weight(abs(z)), e, y, window)
+            else:
+                factor = pow_binomial(beta, z, -1, -e, y, window)
+            # pow_binomial's integer terms, over denominator 1, past the constant
+            steps = [(dw, da, s, c) for dw, block in enumerate(factor._blocks) if dw
+                     for da, (s0, row) in block.items() for s, c in enumerate(row, s0)]
+            for w in range(y, 0, -1):
+                for dw, da, s, c in steps:
+                    if dw > w:
+                        break
+                    for a, (_, row) in blocks[w - dw].items():
+                        acc = blocks[w].setdefault(a + da, (lo, [0] * len(row)))[1]
+                        if s >= 0:
+                            acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
+                        else:
+                            acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
     return _reported(MultiSeries._of(y, window, 1, blocks), params, "pt_borcherds")
 
 
@@ -201,7 +208,7 @@ def pt_xbar(params: PTParams) -> MultiSeries:
 
     return _exp_sum(params, "pt_xbar", (
         term(beta, r if z >= 0 else -r, z)
-        for beta, r, _n, z in _index_terms(params, covers=True)))
+        for beta, r, _n, z in _index_terms(params)))
 
 
 def ky_pairs_euler(h: int, n: int) -> int:

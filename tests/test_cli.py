@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,11 @@ STDOUT_SHA256 = [
     # the largest KKV comparison gv_extract's trust bound admits at y_max = 8
     ("bps --q-max 20 --y-max 8 --z-max 70",
      "23ed8066a6f249c729ad189fa26250ac13eb2071d7657e6751a18282774fb339"),
+    # these two pin the config echo of the subcommands that take --vector
+    ("jinv --vector 0;2,4;-2",
+     "c518d7a4b7459229dbae48a1d31c5c40b716600c8935454b288fd71f1cf5c7b6"),
+    ("isometry --vector 2;0,0;-2 --samples 5",
+     "4f49d6ec262459bf845f4b89b0bdfc1cbca4881a89dfef0f34bb600fd87484cb"),
 ]
 
 
@@ -132,23 +138,52 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["result"]["table"][3] == "3200"
 
 
-@pytest.mark.parametrize("argv", [
-    ["hilb", "--max", "-1"],
-    ["pt", "--y-max", "-2", "--z-max", "3"],
-    ["pt", "--y-max", "2", "--z-max", "-3"],
-    ["ky-verify", "--q-max", "-2", "--z-window", "4"],
-    ["ky-verify", "--q-max", "3", "--z-window", "0"],
-    ["bps", "--q-max", "-1"],
-    ["bps", "--q-max", "3", "--y-max", "2"],
-    ["jinv", "--vector", "not-a-vector"],
-    ["jinv", "--vector", "0;0,0;0"],
-    ["jinv", "--vector", "1;0,0;1", "--format", "csv"],
-    ["unknown-subcommand"],
-])
-def test_usage_errors_exit_2(argv):
+USAGE_ERRORS = [
+    (["hilb", "--max", "-1"], "--max must be >= 0"),
+    (["pt", "--y-max", "-2", "--z-max", "3"], "--y-max must be >= 0"),
+    (["pt", "--y-max", "2", "--z-max", "-3"], "--z-max must be >= 0"),
+    (["ky-verify", "--q-max", "-2", "--z-window", "4"], "--q-max must be >= -1"),
+    (["ky-verify", "--q-max", "3", "--z-window", "0"], "--z-window must be >= 1"),
+    (["bps", "--q-max", "-1"], "--q-max must be >= 0"),
+    (["bps", "--q-max", "3", "--y-max", "2"], "bps needs --y-max and --z-max together"),
+    (["jinv", "--vector", "not-a-vector"], "expected 'r;a,b;n', got 'not-a-vector'"),
+    (["jinv", "--vector", "0;0,0;0"], "vector must be nonzero"),
+    (["jinv", "--vector", "1;0,0;1", "--format", "csv"],
+     "csv output is only available for integer tables (hilb, pt)"),
+    # the list of choices is quoted differently across Python versions
+    (["unknown-subcommand"],
+     "argument subcommand: invalid choice: 'unknown-subcommand'"),
+    # several flags out of range: the first in --max, --y-max, --z-max,
+    # --q-max, --z-window, --samples order is reported
+    (["bps", "--q-max", "-1", "--y-max", "-1", "--z-max", "3"], "--y-max must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))])
+def test_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.partition(" (choose from")[0] == f"localk3: error: {message}"
+
+
+@pytest.mark.parametrize("subcommand,flags", [
+    ("hilb", {"--max"}),
+    ("jinv", {"--vector"}),
+    ("pt", {"--y-max", "--z-max", "--signed"}),
+    ("xbar-verify", {"--y-max", "--z-max"}),
+    ("ky-verify", {"--q-max", "--z-window"}),
+    ("bps", {"--q-max", "--y-max", "--z-max"}),
+    ("isometry", {"--vector", "--samples"}),
+])
+def test_help_lists_exactly_the_subcommand_flags(capsys, subcommand, flags):
+    with pytest.raises(SystemExit) as info:
+        cli.main([subcommand, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == flags | {"--help", "--format", "--out"}
 
 
 def test_verification_failure_exit_code(monkeypatch, capsys):

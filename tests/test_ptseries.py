@@ -41,29 +41,23 @@ def test_pt_params_padding():
         PTParams(-1, 3)
 
 
-@pytest.mark.parametrize("covers", [True, False])
-def test_index_terms_drop_no_factor(covers):
-    # brute force a box well past the stated bound: every factor with a
-    # nonzero coefficient (J for k_max = div beta, chi for k_max = 1)
-    # must be yielded, once
+def test_index_terms_drop_no_factor():
+    # brute force a box well past the stated bound: every term with a
+    # nonzero J must be yielded, once
     for y_max in range(7):
         params = PTParams(y_max, y_max + 2)
         lo, hi = params.work_window
-        listed = list(_index_terms(params, covers))
+        listed = list(_index_terms(params))
         terms = set(listed)
         assert len(terms) == len(listed)
         for beta in enumerate_effective(y_max):
-            k_max = beta.divisibility() if covers else 1
+            k_max = beta.divisibility()
             bound = beta.self_intersection() // 2 + k_max * k_max
             for r in range(2 * math.isqrt(abs(bound)) + 3):
                 for n in range(max(hi, -lo) + 1):
-                    if covers:
-                        coeff = conjectural_J(MukaiVector(r, beta, r + n)) if r or n else 0
-                    else:
-                        coeff = hilb_euler(beta.self_intersection() // 2 + 1 - r * (r + n))
-                    if not coeff:
+                    if not (r or n) or not conjectural_J(MukaiVector(r, beta, r + n)):
                         continue
-                    if (r or n) and n <= hi:
+                    if n <= hi:
                         assert (beta, r, n, n) in terms
                     if r and n and -n >= lo:
                         assert (beta, r, n, -n) in terms
@@ -90,19 +84,25 @@ def test_exp_and_product_forms_agree():
 
 
 def borcherds_by_mul(params):
-    """The product form with one full series product per binomial factor:
-    the oracle for the in-place update in pt_borcherds."""
-    window = params.work_window
+    """The product form with one full series product per binomial factor
+    (beta, r, n), found by brute force over the window: the oracle for
+    pt_borcherds, which merges the factors of each (beta, z) and applies
+    them in place."""
+    lo, hi = window = params.work_window
     out = MultiSeries.one(params.y_max, window)
-    for beta, r, n, z in _index_terms(params, covers=False):
-        e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
-        if not e:
-            continue
-        if params.signed:
-            factor = pow_binomial(beta, z, _signed_weight(n), e, params.y_max, window)
-        else:
-            factor = pow_binomial(beta, z, -1, -e, params.y_max, window)
-        out = out.mul(factor)
+    for beta in enumerate_effective(params.y_max):
+        for z in range(lo, hi + 1):
+            n = abs(z)
+            # a nonzero chi needs r^2 <= beta^2/2 + 1 <= z_pad + 1 <= hi + 1
+            for r in range(0 if z >= 0 else 1, hi + 2):
+                e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
+                if not e:
+                    continue
+                if params.signed:
+                    factor = pow_binomial(beta, z, _signed_weight(n), e, params.y_max, window)
+                else:
+                    factor = pow_binomial(beta, z, -1, -e, params.y_max, window)
+                out = out.mul(factor)
     return _reported(out, params, "borcherds_by_mul")
 
 
