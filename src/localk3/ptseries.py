@@ -244,17 +244,25 @@ def ky_identity_check(q_max: int, z_window: int,
     if z_window < 1:
         raise ValueError("z_window too small to determine any coefficient")
     rhs = inv_delta(q_max)
+    top = z_window - 1
     mismatches = []
     for m in range(-1, q_max + 1):
         h = m + 1
         row = LaurentPoly({n: pairs(h, n) for n in range(-z_window, z_window + 1)})
-        prod = row * KY_KERNEL
-        for j in range(-(z_window - 1), z_window):
-            left = prod.coeff(j)
-            right = rhs.coeff(m, j)
-            if left != right:
-                mismatches.append((m, j, left, right))
+        left, right = _window(row * KY_KERNEL, top), _window(rhs.row(m), top)
+        if left != right:
+            mismatches += [(m, j, Fraction(u), Fraction(v))
+                           for j, u, v in zip(range(-top, top + 1), left, right) if u != v]
     return mismatches
+
+
+def _window(p: LaurentPoly, top: int) -> list:
+    """The coefficients of z^-top .. z^top in p, as a dense list."""
+    out = [0] * (2 * top + 1)
+    lo, hi = max(p._lo, -top), min(p._lo + len(p._row) - 1, top)
+    if lo <= hi:
+        out[lo + top:hi + top + 1] = p._row[lo - p._lo:hi - p._lo + 1]
+    return out
 
 
 @dataclass(frozen=True, eq=True)
@@ -285,8 +293,20 @@ def _kernel_coeff(g: int, j: int) -> int:
     return (-1) ** (g - j) * math.comb(2 * g, g - j) if abs(j) <= g else 0
 
 
-def _kernel_decompose(p: LaurentPoly) -> dict[int, Fraction]:
-    """Write a palindromic Laurent polynomial as sum c_g (z - 2 + 1/z)^g.
+def _kernel_rows(g_max: int) -> list[list[int]]:
+    """The half-rows of (z - 2 + 1/z)^g, g = 0..g_max: entry j of row g is
+    its z^j coefficient, j = 0..g.  Each row is the one before times the
+    kernel, read on j >= 0 through the palindromy z^-1 <-> z^1."""
+    rows = [[1]]
+    for g in range(g_max):
+        r = rows[-1] + [0, 0]
+        rows.append([r[abs(j - 1)] - 2 * r[j] + r[j + 1] for j in range(g + 2)])
+    return rows
+
+
+def _kernel_decompose(p: LaurentPoly, kernel: list[list[int]]) -> dict[int, Fraction]:
+    """Write a palindromic Laurent polynomial as sum c_g (z - 2 + 1/z)^g,
+    with kernel = _kernel_rows(g_max) for some g_max >= the degree of p.
 
     The g-th basis element has top term z^g with coefficient 1, so
     elimination from the top degree down is triangular and exact; by
@@ -301,8 +321,7 @@ def _kernel_decompose(p: LaurentPoly) -> dict[int, Fraction]:
         c = work[g]
         if c:
             out[g] = Fraction(c)
-            for j in range(g + 1):
-                work[j] -= _kernel_coeff(g, j) * c
+            work[:g + 1] = [v - k * c for v, k in zip(work, kernel[g])]
     return out
 
 
@@ -313,12 +332,14 @@ def bps_extract(source: QZSeries, q_max: int) -> BPSTable:
         raise ValueError("source must start at q^{-1} or later")
     if q_max > source.q_max:
         raise ValueError("q_max exceeds the exact range of the source")
+    rows = [source.row(m) for m in range(source.q_min, q_max + 1)]
+    kernel = _kernel_rows(max((len(p._row) // 2 for p in rows), default=0))
     entries: dict = {}
     hs = set()
-    for m in range(source.q_min, q_max + 1):
+    for m, p in enumerate(rows, source.q_min):
         h = m + 1
         hs.add(h)
-        for g, c in _kernel_decompose(source.row(m)).items():
+        for g, c in _kernel_decompose(p, kernel).items():
             entries[(g, h)] = c if g % 2 == 0 else -c
     return BPSTable(entries, frozenset(hs))
 
@@ -370,7 +391,9 @@ def gv_extract(pt: MultiSeries, signed: bool = False) -> BPSTable:
     hs = set()
     reference: dict[int, tuple[CurveClass, dict[int, Fraction]]] = {}
     f: dict[CurveClass, dict[int, Fraction]] = {}
-    for beta in enumerate_effective(pt.y_max):
+    classes = enumerate_effective(pt.y_max)
+    kernel = _kernel_rows(max((b.self_intersection() // 2 + 1 for b in classes), default=0))
+    for beta in classes:
         fb = _strip_covers(rows, beta, f, pt.z_lo, pt.z_hi)
         f[beta] = fb
         row = LaurentPoly(fb) * KY_KERNEL
@@ -387,7 +410,7 @@ def gv_extract(pt: MultiSeries, signed: bool = False) -> BPSTable:
             continue
         restricted = LaurentPoly({j: c for j, c in items if abs(j) <= h})
         try:
-            decomposition = _kernel_decompose(restricted)
+            decomposition = _kernel_decompose(restricted, kernel)
         except ValueError as err:
             raise ConsistencyError(f"class {beta}: {err}",
                                    [(beta, j, c) for j, c in restricted.items()])

@@ -14,12 +14,18 @@ MultiSeries stores integer blocks: per weight, the class coordinate a
 maps to a dense z-row of numerators over one common denominator, kept
 reduced so that equal series are stored alike.  A LaurentPoly, and so
 each QZSeries row, is a dense row with nonzero ends.  Every product
-convolves dense rows with one kernel, _row_sum, by Kronecker
-substitution: rows become big integers with fixed-width slots, so each
-row product is one big-integer product.  exp and log share one grading
-recurrence, which keeps each weight as integer numerators over a
-denominator reduced by their common gcd.  Products, sums, exp, log and
-QZSeries inverses all run on the stored rows directly.
+convolves dense rows by Kronecker substitution: _pack makes an integer
+row a big integer with fixed-width slots, so each row product is one
+big-integer product, and _unpack_sum reads a sum of such products back.
+_row_sum runs this for LaurentPoly and MultiSeries products.  qz_mul
+and qz_invert pack each row once per call: qz_mul at the one slot width
+that its largest row bound needs, qz_invert at a width that it checks
+against the bound at every step of its recurrence; when the bound
+outgrows the slot, the slot widens to the new need and a row is packed
+again on its next use.  exp and log share one grading recurrence, which
+keeps each weight as integer numerators over a denominator reduced by
+their common gcd.  Products, sums, exp, log and QZSeries inverses all
+run on the stored rows directly.
 """
 
 from __future__ import annotations
@@ -477,40 +483,67 @@ def _row_sum(pairs: list) -> tuple[int, list]:
 
     Slot width: C_k sums, over the pairs, m times at most
     min(len a, len b) products, each at most max|a| max|b| in size, so
-    |C_k| <= B = sum_pairs m min(len a, len b) max|a| max|b|.  s is the
-    least multiple of 8 with 2^(s-1) > B.  Every digit C_k + 2^(s-1) then
-    lies in [1, 2^s - 1], so T plus 2^(s-1) in every slot is the base-2^s
-    number with those digits: no carry crosses a slot, and each slot
-    reads back as a byte slice minus the bias.  Rows with a nonzero
-    entry have max|v| <= B, so they pack by the same bias, as joined
-    byte slots: Horner's x << s would copy the whole integer per slot.
+    |C_k| <= B = sum_pairs m min(len a, len b) max|a| max|b|, and s is
+    _slot_bytes(B) bytes.  Rows with a nonzero entry have max|v| <= B,
+    so they fit the slots of _pack, and _unpack_sum reads T back.
     """
     live = [(la + lb, a, b) for (la, a), (lb, b) in pairs if any(a) and any(b)]
     if not live:
         return 0, []
     rows = {id(row): row for _, a, b in live for row in (a, b)}
     dens = {i: math.lcm(*map(_DEN, row)) for i, row in rows.items()}
-    ints = {i: list(map(_NUM, row)) if dens[i] == 1
-            else [v.numerator * (dens[i] // v.denominator) for v in row]
-            for i, row in rows.items()}
+    ints = {i: _numerators(row, dens[i]) for i, row in rows.items()}
     size = {i: max(map(abs, row)) for i, row in ints.items()}
     den = math.lcm(*(dens[id(a)] * dens[id(b)] for _, a, b in live))
-    bound = sum(den // (dens[id(a)] * dens[id(b)]) * min(len(a), len(b))
-                * size[id(a)] * size[id(b)] for _, a, b in live)
-    nb = bound.bit_length() // 8 + 1
-    half = 1 << (8 * nb - 1)
-    packed = {i: int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in row]),
-                                "little") - _bias(nb, len(row))
-              for i, row in ints.items()}
-    lo = min(off for off, _, _ in live)
-    width = max(off + len(a) + len(b) - 1 for off, a, b in live) - lo
-    total = 0
-    for off, a, b in live:
-        m = den // (dens[id(a)] * dens[id(b)])
-        total += (packed[id(a)] * packed[id(b)] * m) << (8 * nb * (off - lo))
-    buf = (total + _bias(nb, width)).to_bytes(nb * width, "little")
-    row = [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, nb * width, nb)]
+    live = [(off, a, b, den // (dens[id(a)] * dens[id(b)])) for off, a, b in live]
+    nb = _slot_bytes(sum(m * min(len(a), len(b)) * size[id(a)] * size[id(b)]
+                         for _, a, b, m in live))
+    packed = {i: _pack(row, nb) for i, row in ints.items()}
+    lo, row = _unpack_sum([(off, packed[id(a)] * packed[id(b)] * m, len(a) + len(b) - 1)
+                           for off, a, b, m in live], nb)
     return _trim(lo, row if den == 1 else [Fraction(v, den) for v in row])
+
+
+def _numerators(row: list, den: int) -> list[int]:
+    """The integers den * v of a row whose denominators all divide den."""
+    return list(map(_NUM, row)) if den == 1 else [v.numerator * (den // v.denominator)
+                                                  for v in row]
+
+
+def _slot_bytes(bound: int) -> int:
+    """The least number nb of bytes with 2^(8 nb - 1) > bound >= 0."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(row: list[int], nb: int) -> int:
+    """X = sum_i row[i] 2^(8 nb i), for integers |row[i]| < 2^(8 nb - 1).
+
+    Each row[i] + 2^(8 nb - 1) lies in [1, 2^(8 nb) - 1], so it is one
+    nb-byte slot: the row packs by joining the slots' bytes and taking
+    the bias off again, where Horner's x << s would copy the whole
+    integer per slot."""
+    half = 1 << (8 * nb - 1)
+    return int.from_bytes(b"".join([(v + half).to_bytes(nb, "little") for v in row]),
+                          "little") - _bias(nb, len(row))
+
+
+def _unpack_sum(parts: list, nb: int) -> tuple[int, list[int]]:
+    """The row sum x z^off over the (off, x, n) in parts, each x a row of
+    n slots packed as by _pack, as (lowest exponent, integer row).
+
+    The shifted x sum to T = sum_k C_k 2^(8 nb k), C_k the coefficients
+    sought.  The read-back is exact if every |C_k| < 2^(8 nb - 1): each
+    digit C_k + 2^(8 nb - 1) then lies in [1, 2^(8 nb) - 1], so T plus
+    2^(8 nb - 1) in every slot is the base-2^(8 nb) number with those
+    digits, no carry crosses a slot, and each slot reads back as a byte
+    slice minus the bias."""
+    lo = min(off for off, _, _ in parts)
+    width = max(off + n for off, _, n in parts) - lo
+    s = 8 * nb
+    total = sum(x << (s * (off - lo)) for off, x, _ in parts)
+    buf = (total + _bias(nb, width)).to_bytes(nb * width, "little")
+    half = 1 << (s - 1)
+    return lo, [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, nb * width, nb)]
 
 
 def _bias(nb: int, n: int) -> int:
@@ -535,40 +568,108 @@ def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]
     return out
 
 
+def _integer_rows(s: QZSeries) -> tuple[int, dict[int, tuple[int, list[int]]]]:
+    """The rows of s as {m: (lo, integer row)} over one denominator, the
+    lcm of all of theirs."""
+    den = math.lcm(*(math.lcm(*map(_DEN, p._row)) for p in s._rows.values()))
+    return den, {m: (p._lo, _numerators(p._row, den)) for m, p in s._rows.items()}
+
+
+def _rational_row(lo: int, row: list[int], scale: Fraction | int) -> LaurentPoly:
+    """The polynomial scale * sum row[i] z^(lo + i)."""
+    return LaurentPoly._of(lo, row if scale == 1 else [v * scale for v in row])
+
+
 def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
-    """Product, exact on the q-range the factors jointly determine."""
+    """Product, exact on the q-range the factors jointly determine.
+
+    Each factor is scaled to integer rows over one denominator, and
+    each row is packed once (_pack) at the one slot width that the
+    largest per-row bound of _row_sum's proof needs: the q^m row sums
+    the products of the row pairs (q^ma, q^(m - ma)), so its slots are at
+    most B_m = sum_ma min(len) max|a row| max|b row|, and every row in a
+    live pair has max|v| <= B_m.  Each product row is then one sum of
+    big-integer products, read back by _unpack_sum."""
     q_min = a.q_min + b.q_min
     q_max = min(a.q_max + b.q_min, b.q_max + a.q_min)
     if q_min > q_max:
         raise ValueError("product q-range is empty")
-    arows = {m: (p._lo, p._row) for m, p in a._rows.items()}
-    brows = {m: (p._lo, p._row) for m, p in b._rows.items()}
-    return QZSeries(q_min, q_max, {
-        m: LaurentPoly._of(*_row_sum([(ra, brows[m - ma]) for ma, ra in arows.items()
-                                      if m - ma in brows]))
-        for m in range(q_min, q_max + 1)})
+    da, arows = _integer_rows(a)
+    db, brows = _integer_rows(b)
+    size = {id(row): max(map(abs, row)) for rows in (arows, brows) for _, row in rows.values()}
+    terms = {m: [(arows[ma], brows[m - ma]) for ma in arows if m - ma in brows]
+             for m in range(q_min, q_max + 1)}
+    nb = _slot_bytes(max((sum(min(len(ra), len(rb)) * size[id(ra)] * size[id(rb)]
+                              for (_, ra), (_, rb) in pairs) for pairs in terms.values()),
+                         default=0))
+    used = {id(row): row for pairs in terms.values() for pair in pairs for _, row in pair}
+    packed = {i: _pack(row, nb) for i, row in used.items()}
+    scale = Fraction(1, da * db)
+    out = {}
+    for m, pairs in terms.items():
+        if pairs:
+            lo, row = _unpack_sum([(la + lb, packed[id(ra)] * packed[id(rb)], len(ra) + len(rb) - 1)
+                                   for (la, ra), (lb, rb) in pairs], nb)
+            out[m] = _rational_row(lo, row, scale)
+    return QZSeries(q_min, q_max, out)
 
 
 def qz_invert(a: QZSeries) -> QZSeries:
     """Inverse of a series whose lowest q-row is a single z-monomial.
 
-    Writing a = c z^j q^v (1 + u) with u supported in q^{>= 1}, the
-    inverse is computed by the convolution recurrence and is exact on
-    [-v, a.q_max - 2 v].  For c = +-1 the recurrence has no division,
-    so an integer series has an integer inverse computed in integers.
+    Scale a to integer rows A_k / D, A_k the row of q^(v + k), over the
+    lcm D of all its denominators, with lead A_0 = c z^j (c an integer).
+    The inverse is exact on [-v, a.q_max - 2 v], and its q^(i - v) row is
+    G_i = D H_i / c^(i + 1), where H_0 = z^(-j) and
+
+        H_i = -z^(-j) sum_{k=1..i} c^(k-1) A_k H_(i-k)
+
+    (substitute G into a G = 1: the D and the powers of c cancel), so
+    the recurrence runs in integers, and for Delta (c = D = 1) so does
+    the result.  The rows W_k = -c^(k-1) A_k and H_i are packed (_pack)
+    at the current slot width of nb bytes on their first use, so each
+    row is packed once per width and each step is one sum of
+    big-integer products and one _unpack_sum.
+
+    Slot width: every coefficient of the step-i sum is at most
+    B_i = sum_k min(len W_k, len H_(i-k)) max|W_k| max|H_(i-k)|, over the
+    k with both rows nonzero, and B_i >= max|W_k|, max|H_(i-k)| for each
+    such k.  B_i is checked at every step: if 2^(8 nb - 1) <= B_i, the
+    slot widens to the need _slot_bytes(B_i) and every packing made so
+    far is dropped, so a row used again is packed again at the new
+    width.  Then every packed entry and every slot of the sum lies
+    strictly within +-2^(8 nb - 1), as _pack and _unpack_sum require,
+    so no carry crosses a slot.  Widening to the exact need, not beyond
+    it, keeps every later product as narrow as the bound allows; a
+    repack is one pass over a row that the step multiplies anyway.
     """
     v = a.q_min
     if len(a.row(v)._row) != 1:
         raise ValueError("leading q-coefficient must be a single z-monomial")
-    arows = {m: (p._lo, p._row) for m, p in a._rows.items()}
+    den, arows = _integer_rows(a)
     j, (c,) = arows[v]
-    neg_inv = -c if c in (1, -1) else Fraction(-1) / c
     q_min, q_max = -v, a.q_max - 2 * v
-    rows = {q_min: (-j, [-neg_inv])}
-    for m in range(q_min + 1, q_max + 1):
-        # coefficient of q^{m+v} in a * result must vanish
-        lo, row = _row_sum([(arows[v + k], rows[m - k]) for k in range(1, m - q_min + 1)
-                            if v + k in arows and m - k in rows])
-        if row:
-            rows[m] = (lo - j, [x * neg_inv for x in row])
-    return QZSeries(q_min, q_max, {m: LaurentPoly._of(*row) for m, row in rows.items()})
+    w = {m - v: (lo, [-c ** (m - v - 1) * x for x in row])
+         for m, (lo, row) in arows.items() if m > v}
+    h = [(-j, [1])]  # H_i as (lo, row); (0, []) if it vanishes
+    size = {id(row): max(map(abs, row)) for _, row in [*w.values(), *h]}
+    nb = 1
+    packed: dict[int, int] = {}  # id(row) -> the row packed at nb bytes
+    for i in range(1, q_max - q_min + 1):
+        terms = [(w[k], h[i - k]) for k in range(1, i + 1) if k in w and h[i - k][1]]
+        lo, row = 0, []
+        if terms:
+            bound = sum(min(len(x), len(y)) * size[id(x)] * size[id(y)]
+                        for (_, x), (_, y) in terms)
+            if _slot_bytes(bound) > nb:
+                nb, packed = _slot_bytes(bound), {}
+            for _, x in (r for pair in terms for r in pair):
+                if id(x) not in packed:
+                    packed[id(x)] = _pack(x, nb)
+            lo, row = _trim(*_unpack_sum([(xlo + ylo - j, packed[id(x)] * packed[id(y)],
+                                           len(x) + len(y) - 1)
+                                          for (xlo, x), (ylo, y) in terms], nb))
+        h.append((lo, row))
+        size[id(row)] = max(map(abs, row), default=0)
+    return QZSeries(q_min, q_max, {q_min + i: _rational_row(lo, row, Fraction(den, c ** (i + 1)))
+                                   for i, (lo, row) in enumerate(h) if row})

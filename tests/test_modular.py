@@ -13,6 +13,10 @@ from localk3.series import KY_KERNEL, ConsistencyError, LaurentPoly, QZSeries, q
 # factor-by-factor build of Delta on Fraction rows
 INV_DELTA_40_SHA256 = "f3bc976a3b101fffa4944a6994093733d672b71d1e1c27bb9dd0da355944f914"
 BPS_40_SHA256 = "081cb311dd012513b6299e6bb4a9b285b58e4b439cff67b471d07f72b96b2d77"
+# the same at q = 80, recorded from the qz_invert that called _row_sum once
+# per q-row
+INV_DELTA_80_SHA256 = "6d8585cc60b562c327f103b1d0a4a0d1a43d7a4731bf78740ba6c06ee7e3ca7b"
+BPS_80_SHA256 = "eac6b94e268faeb8129d72edaeea39c7f8e281388f93ddea00ab45fc7b5ec0c9"
 
 
 def delta_by_factors(q_max):
@@ -50,6 +54,14 @@ def test_wall_path_digests_at_q_40():
     assert sha256_lines(f"{m} {j} {v}" for m, j, v in terms) == INV_DELTA_40_SHA256
     entries = sorted((g, h, c) for (g, h), c in bps_extract(iv, 40).entries.items())
     assert sha256_lines(f"{g} {h} {c}" for g, h, c in entries) == BPS_40_SHA256
+
+
+def test_wall_path_digests_at_q_80():
+    iv = inv_delta(80)
+    terms = sorted((m, j, v) for m, row in iv.rows() for j, v in row.items())
+    assert sha256_lines(f"{m} {j} {v}" for m, j, v in terms) == INV_DELTA_80_SHA256
+    entries = sorted((g, h, c) for (g, h), c in bps_extract(iv, 80).entries.items())
+    assert sha256_lines(f"{g} {h} {c}" for g, h, c in entries) == BPS_80_SHA256
 
 
 def test_delta_leading_rows():

@@ -10,8 +10,8 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
                              enumerate_effective)
 from localk3.modular import inv_delta
 from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
-                              _kernel_coeff, _kernel_decompose, _reported, _signed_weight,
-                              bps_extract, gv_extract, ky_identity_check,
+                              _kernel_coeff, _kernel_decompose, _kernel_rows, _reported,
+                              _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
 from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, pow_binomial
 
@@ -247,13 +247,14 @@ def kernel_power(g):
 def test_kernel_closed_form_matches_repeated_product(g):
     power = kernel_power(g)
     assert power == LaurentPoly({j: _kernel_coeff(g, j) for j in range(-g - 1, g + 2)})
-    assert _kernel_decompose(power) == {g: 1}
+    assert _kernel_rows(g)[g] == [_kernel_coeff(g, j) for j in range(g + 1)]
+    assert _kernel_decompose(power, _kernel_rows(g)) == {g: 1}
 
 
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=8))
 def test_kernel_decompose_round_trips_palindromic_polys(half):
     p = LaurentPoly({j: c for i, c in enumerate(half) for j in (i, -i)})
-    decomposition = _kernel_decompose(p)
+    decomposition = _kernel_decompose(p, _kernel_rows(len(half)))
     assert all(type(c) is Fraction and c for c in decomposition.values())
     rebuilt = LaurentPoly.zero()
     for g, c in decomposition.items():
@@ -263,7 +264,7 @@ def test_kernel_decompose_round_trips_palindromic_polys(half):
 
 def test_kernel_decompose_rejects_non_palindromic():
     with pytest.raises(ValueError):
-        _kernel_decompose(LaurentPoly({2: Fraction(1, 2), -1: 3, 0: 1}))
+        _kernel_decompose(LaurentPoly({2: Fraction(1, 2), -1: 3, 0: 1}), _kernel_rows(2))
 
 
 def test_bps_extract_rejects_non_palindromic():

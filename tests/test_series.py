@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from localk3.lattice import CurveClass, ZERO_CLASS
 from localk3.ptseries import PTParams, pt_main
-from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _row_sum, _trim,
-                            exp, log, pow_binomial, qz_invert, qz_mul)
+from localk3 import series
+from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _pack, _row_sum,
+                            _trim, exp, log, pow_binomial, qz_invert, qz_mul)
 
 X = CurveClass(0, 1)  # weight-1 class, used as a one-variable stand-in
 
@@ -449,6 +450,69 @@ def test_qz_invert_non_unit_lead_and_negative_q_min():
     prod = qz_mul(a, inv)
     assert qz_terms(prod) == {(0, 0): 1}
     assert all_fractions(prod)
+
+
+def record_slot_widths(monkeypatch):
+    """The slot widths, in bytes, of every row that series._pack packs."""
+    widths = []
+
+    def pack(row, nb):
+        widths.append(nb)
+        return _pack(row, nb)
+
+    monkeypatch.setattr(series, "_pack", pack)
+    return widths
+
+
+@pytest.mark.parametrize("bits", [8, 61])
+def test_qz_invert_widens_the_slot_for_growing_rows(monkeypatch, bits):
+    # 1 / (1 - 2^bits z q) = sum 2^(bits i) z^i q^i: the bound grows by
+    # 2^bits a row, so the slot widens again and again; for bits = 8 it
+    # needs exactly one byte more every row
+    x = 2**bits
+    a = QZSeries(0, 12, {0: LaurentPoly.const(1), 1: LaurentPoly.monomial(-x, 1)})
+    widths = record_slot_widths(monkeypatch)
+    inv = qz_invert(a)
+    assert len(set(widths)) >= 3
+    assert inv.rows() == [(i, LaurentPoly.monomial(x**i, i)) for i in range(13)]
+    q_min, q_max, terms = ref_qz_invert(a)
+    assert (inv.q_min, inv.q_max) == (q_min, q_max) and qz_terms(inv) == terms
+
+
+def test_qz_invert_widens_the_slot_with_a_non_unit_lead(monkeypatch):
+    # c (1 - x q)^2 with c = -3/2 and x = (2^40 / 5)(1 + z): the inverse is
+    # (1 / c) sum (i + 1) x^i q^i.  Over D = 50 the lead is -75, and its
+    # powers enter the recurrence through the q^2 row; the two-term rows
+    # made at one slot width are multiplied at the next
+    c, s = Fraction(-3, 2), Fraction(2**40, 5)
+    a = QZSeries(0, 10, {0: LaurentPoly.const(c),
+                         1: LaurentPoly({0: -2 * c * s, 1: -2 * c * s}),
+                         2: LaurentPoly({0: c * s * s, 1: 2 * c * s * s, 2: c * s * s})})
+    widths = record_slot_widths(monkeypatch)
+    inv = qz_invert(a)
+    assert len(set(widths)) >= 3
+    assert inv.rows() == [(i, LaurentPoly({l: (i + 1) * s**i * math.comb(i, l) / c
+                                           for l in range(i + 1)})) for i in range(11)]
+    q_min, q_max, terms = ref_qz_invert(a)
+    assert (inv.q_min, inv.q_max) == (q_min, q_max) and qz_terms(inv) == terms
+    assert all_fractions(inv)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 400])
+def test_qz_mul_at_the_slot_bound(k):
+    # rows of all 2^k - 1 against rows of all -(2^k - 1): the q^1 row sums
+    # two products, so its middle slot is 2 n (2^k - 1)^2, the largest
+    # row bound, which sets the one slot width of the call
+    top = 2**k - 1
+    for n in (1, 2, 3, 255, 256):
+        tent = [min(i + 1, 2 * n - 1 - i) for i in range(2 * n - 1)]
+        for sa, sb in ((1, -1), (-1, -1)):
+            a, b = (QZSeries(0, 1, {m: LaurentPoly(dict(enumerate([sign * top] * n)))
+                                    for m in (0, 1)}) for sign in (sa, sb))
+            ab = qz_mul(a, b)
+            for m in (0, 1):
+                assert ab.row(m) == LaurentPoly(
+                    {i: (m + 1) * sa * sb * top * top * t for i, t in enumerate(tent)})
 
 
 # dict-of-Fraction reference for LaurentPoly products on the dense kernel
