@@ -14,18 +14,16 @@ MultiSeries stores integer blocks: per weight, the class coordinate a
 maps to a dense z-row of numerators over one common denominator, kept
 reduced so that equal series are stored alike.  A LaurentPoly, and so
 each QZSeries row, is a dense row with nonzero ends.  Every product
-convolves dense rows by Kronecker substitution: _pack makes an integer
-row a big integer with fixed-width slots, so each row product is one
-big-integer product, and _unpack_sum reads a sum of such products back.
-_row_sum runs this for LaurentPoly and MultiSeries products.  qz_mul
-and qz_invert pack each row once per call: qz_mul at the one slot width
-that its largest row bound needs, qz_invert at a width that it checks
-against the bound at every step of its recurrence; when the bound
-outgrows the slot, the slot widens to the new need and a row is packed
-again on its next use.  exp and log share one grading recurrence, which
-keeps each weight as integer numerators over a denominator reduced by
-their common gcd.  Products, sums, exp, log and QZSeries inverses all
-run on the stored rows directly.
+convolves dense rows in _row_sum, the one Kronecker-substitution
+driver: _pack makes an integer row a big integer with fixed-width
+slots, so each row product is one big-integer product, and _unpack_sum
+reads a sum of such products back.  Its docstring holds the one slot
+proof.  qz_mul and qz_invert call it once per q-row over one pack cache
+per call, so each row is scaled once and packed once per slot width;
+LaurentPoly and MultiSeries products pass no cache.  exp and log share
+one grading recurrence, which keeps each weight as integer numerators
+over a denominator reduced by their common gcd.  Products, sums, exp,
+log and QZSeries inverses all run on the stored rows directly.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator, Mapping
 
-from .lattice import ZERO_CLASS, CurveClass
+from .lattice import CurveClass
 
 Coeff = int | Fraction
 _NUM = attrgetter("numerator")
@@ -70,11 +68,15 @@ def _dense(c: Mapping[int, Coeff]) -> tuple[int, list]:
 def _trim(lo: int, row: list) -> tuple[int, list]:
     """A dense row cut to its nonzero ends, with integral Fractions made
     int; (0, []) if it vanishes."""
-    nonzero = [i for i, v in enumerate(row) if v]
-    if not nonzero:
-        return 0, []
-    return lo + nonzero[0], [v if type(v) is int or v.denominator != 1 else v.numerator
-                             for v in row[nonzero[0]:nonzero[-1] + 1]]
+    i, j = 0, len(row)
+    while i < j and not row[i]:
+        i += 1
+    while j > i and not row[j - 1]:
+        j -= 1
+    row = row[i:j]
+    if Fraction in map(type, row):
+        row = [v if type(v) is int or v.denominator != 1 else v.numerator for v in row]
+    return (lo + i, row) if row else (0, [])
 
 
 class LaurentPoly:
@@ -94,18 +96,6 @@ class LaurentPoly:
         out = cls.__new__(cls)
         out._lo, out._row = _trim(lo, row)
         return out
-
-    @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
-
-    @classmethod
-    def const(cls, v: Coeff) -> LaurentPoly:
-        return cls({0: v})
-
-    @classmethod
-    def monomial(cls, v: Coeff, e: int) -> LaurentPoly:
-        return cls({e: v})
 
     def coeff(self, e: int) -> Fraction:
         i = e - self._lo
@@ -220,14 +210,6 @@ class MultiSeries:
                         for block in kept]
         out._den, out._blocks = den, kept
         return out
-
-    @classmethod
-    def zero(cls, y_max: int, z_window: tuple[int, int]) -> MultiSeries:
-        return cls(y_max, z_window)
-
-    @classmethod
-    def one(cls, y_max: int, z_window: tuple[int, int]) -> MultiSeries:
-        return cls(y_max, z_window, {(ZERO_CLASS, 0): 1})
 
     @property
     def z_window(self) -> tuple[int, int]:
@@ -433,12 +415,12 @@ class QZSeries:
     @classmethod
     def from_q_poly(cls, coeffs: Mapping[int, Coeff], q_max: int) -> QZSeries:
         """A z-free q-polynomial, exact to any order up to q_max."""
-        rows = {m: LaurentPoly.const(v) for m, v in coeffs.items()}
+        rows = {m: LaurentPoly({0: v}) for m, v in coeffs.items()}
         lo = min(coeffs) if coeffs else 0
         return cls(min(lo, 0), q_max, rows)
 
     def row(self, m: int) -> LaurentPoly:
-        return self._rows.get(m, LaurentPoly.zero())
+        return self._rows.get(m, LaurentPoly())
 
     def rows(self) -> list[tuple[int, LaurentPoly]]:
         return sorted(self._rows.items())
@@ -470,12 +452,23 @@ class QZSeries:
                     f"q^{m} row has z-width {p.width()} > {2 * (m - self.q_min)}")
 
 
-def _row_sum(pairs: list) -> tuple[int, list]:
+class _Packs(dict):
+    """Rows that _row_sum calls share, by id: an entry is [row, d,
+    numerators, length, max|numerator|, width, packing at that width],
+    with d the lcm of the row's denominators; the row itself is kept so
+    that its id is not reused.  nb is the slot width, which only widens;
+    integral says that every entry has d = 1."""
+
+    nb, integral = 1, True
+
+
+def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list]:
     """Sum of the products of ((lo, row), (lo, row)) pairs of dense rows,
-    as a trimmed row, by Kronecker substitution.
+    as a trimmed row, by Kronecker substitution.  Every product of rows
+    runs through here, and nothing else calls _pack or _unpack_sum.
 
     Each distinct row is scaled to integers v_i by the lcm d of its
-    denominators and packed once into X = sum_i v_i 2^(s i).  A pair's
+    denominators and packed into X = sum_i v_i 2^(s i).  A pair's
     product X_a X_b packs the product of its rows; shifted by the pair's
     offset and multiplied by m = D / (d_a d_b), with D the lcm of the
     d_a d_b, the pairs sum to T = sum_k C_k 2^(s k), where C_k is D times
@@ -483,31 +476,42 @@ def _row_sum(pairs: list) -> tuple[int, list]:
 
     Slot width: C_k sums, over the pairs, m times at most
     min(len a, len b) products, each at most max|a| max|b| in size, so
-    |C_k| <= B = sum_pairs m min(len a, len b) max|a| max|b|, and s is
-    _slot_bytes(B) bytes.  Rows with a nonzero entry have max|v| <= B,
-    so they fit the slots of _pack, and _unpack_sum reads T back.
+    |C_k| <= B = sum_pairs m min(len a, len b) max|a| max|b|.  The slot
+    is nb >= _slot_bytes(B) bytes, so 2^(s - 1) > B.  Rows with a
+    nonzero entry have max|v| <= B, so they fit the slots of _pack, and
+    _unpack_sum reads T back.
+
+    A cache passed across calls keeps each row's scaling and packing.
+    Its width only widens, to nb = max(cache.nb, _slot_bytes(B)), and a
+    row is packed again only when its packing is narrower, so a row is
+    scaled once and packed once per width.  Without a cache,
+    nb = _slot_bytes(B).  Rows must not change while a cache holds them.
     """
-    live = [(la + lb, a, b) for (la, a), (lb, b) in pairs if any(a) and any(b)]
+    if cache is None:
+        cache = _Packs()
+
+    def entry(row):
+        d = math.lcm(*map(_DEN, row))
+        ints = list(map(_NUM, row)) if d == 1 else [v.numerator * (d // v.denominator) for v in row]
+        cache.integral &= d == 1
+        e = cache[id(row)] = [row, d, ints, len(ints), max(map(abs, ints), default=0), 0, 0]
+        return e
+
+    live = [(la + lb, x, y) for (la, a), (lb, b) in pairs
+            if (x := cache.get(id(a)) or entry(a))[4] and (y := cache.get(id(b)) or entry(b))[4]]
     if not live:
         return 0, []
-    rows = {id(row): row for _, a, b in live for row in (a, b)}
-    dens = {i: math.lcm(*map(_DEN, row)) for i, row in rows.items()}
-    ints = {i: _numerators(row, dens[i]) for i, row in rows.items()}
-    size = {i: max(map(abs, row)) for i, row in ints.items()}
-    den = math.lcm(*(dens[id(a)] * dens[id(b)] for _, a, b in live))
-    live = [(off, a, b, den // (dens[id(a)] * dens[id(b)])) for off, a, b in live]
-    nb = _slot_bytes(sum(m * min(len(a), len(b)) * size[id(a)] * size[id(b)]
-                         for _, a, b, m in live))
-    packed = {i: _pack(row, nb) for i, row in ints.items()}
-    lo, row = _unpack_sum([(off, packed[id(a)] * packed[id(b)] * m, len(a) + len(b) - 1)
-                           for off, a, b, m in live], nb)
+    den = 1 if cache.integral else math.lcm(*{x[1] * y[1] for _, x, y in live})
+    nb = cache.nb = max(cache.nb, _slot_bytes(sum(
+        min(x[3], y[3]) * x[4] * y[4] * (1 if den == 1 else den // (x[1] * y[1]))
+        for _, x, y in live)))
+    for _, x, y in live:
+        for e in (x, y):
+            if e[5] != nb:
+                e[5:] = nb, _pack(e[2], nb)
+    lo, row = _unpack_sum([(off, x[6] * y[6] if den == 1 else x[6] * y[6] * (den // (x[1] * y[1])),
+                            x[3] + y[3] - 1) for off, x, y in live], nb)
     return _trim(lo, row if den == 1 else [Fraction(v, den) for v in row])
-
-
-def _numerators(row: list, den: int) -> list[int]:
-    """The integers den * v of a row whose denominators all divide den."""
-    return list(map(_NUM, row)) if den == 1 else [v.numerator * (den // v.denominator)
-                                                  for v in row]
 
 
 def _slot_bytes(bound: int) -> int:
@@ -568,108 +572,47 @@ def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]
     return out
 
 
-def _integer_rows(s: QZSeries) -> tuple[int, dict[int, tuple[int, list[int]]]]:
-    """The rows of s as {m: (lo, integer row)} over one denominator, the
-    lcm of all of theirs."""
-    den = math.lcm(*(math.lcm(*map(_DEN, p._row)) for p in s._rows.values()))
-    return den, {m: (p._lo, _numerators(p._row, den)) for m, p in s._rows.items()}
-
-
-def _rational_row(lo: int, row: list[int], scale: Fraction | int) -> LaurentPoly:
-    """The polynomial scale * sum row[i] z^(lo + i)."""
-    return LaurentPoly._of(lo, row if scale == 1 else [v * scale for v in row])
-
-
 def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
     """Product, exact on the q-range the factors jointly determine.
 
-    Each factor is scaled to integer rows over one denominator, and
-    each row is packed once (_pack) at the one slot width that the
-    largest per-row bound of _row_sum's proof needs: the q^m row sums
-    the products of the row pairs (q^ma, q^(m - ma)), so its slots are at
-    most B_m = sum_ma min(len) max|a row| max|b row|, and every row in a
-    live pair has max|v| <= B_m.  Each product row is then one sum of
-    big-integer products, read back by _unpack_sum."""
+    The q^m row is one _row_sum over the row pairs (q^ma, q^(m - ma)),
+    and all rows share one pack cache.  m runs from q_max down, so the
+    widest bound comes first for series whose rows grow with m, such as
+    Delta's factors, and each factor row is then packed at one width."""
     q_min = a.q_min + b.q_min
     q_max = min(a.q_max + b.q_min, b.q_max + a.q_min)
     if q_min > q_max:
         raise ValueError("product q-range is empty")
-    da, arows = _integer_rows(a)
-    db, brows = _integer_rows(b)
-    size = {id(row): max(map(abs, row)) for rows in (arows, brows) for _, row in rows.values()}
-    terms = {m: [(arows[ma], brows[m - ma]) for ma in arows if m - ma in brows]
-             for m in range(q_min, q_max + 1)}
-    nb = _slot_bytes(max((sum(min(len(ra), len(rb)) * size[id(ra)] * size[id(rb)]
-                              for (_, ra), (_, rb) in pairs) for pairs in terms.values()),
-                         default=0))
-    used = {id(row): row for pairs in terms.values() for pair in pairs for _, row in pair}
-    packed = {i: _pack(row, nb) for i, row in used.items()}
-    scale = Fraction(1, da * db)
-    out = {}
-    for m, pairs in terms.items():
-        if pairs:
-            lo, row = _unpack_sum([(la + lb, packed[id(ra)] * packed[id(rb)], len(ra) + len(rb) - 1)
-                                   for (la, ra), (lb, rb) in pairs], nb)
-            out[m] = _rational_row(lo, row, scale)
-    return QZSeries(q_min, q_max, out)
+    ra, rb = ({m: (p._lo, p._row) for m, p in s._rows.items()} for s in (a, b))
+    cache = _Packs()
+    rows = {m: _row_sum([(x, rb[m - ma]) for ma, x in ra.items() if m - ma in rb], cache)
+            for m in range(q_max, q_min - 1, -1)}
+    return QZSeries(q_min, q_max, {m: LaurentPoly._of(*rows[m]) for m in sorted(rows)})
 
 
 def qz_invert(a: QZSeries) -> QZSeries:
     """Inverse of a series whose lowest q-row is a single z-monomial.
 
-    Scale a to integer rows A_k / D, A_k the row of q^(v + k), over the
-    lcm D of all its denominators, with lead A_0 = c z^j (c an integer).
-    The inverse is exact on [-v, a.q_max - 2 v], and its q^(i - v) row is
-    G_i = D H_i / c^(i + 1), where H_0 = z^(-j) and
+    With A_k the row of q^(v + k) and lead A_0 = c z^j, the inverse is
+    exact on [-v, a.q_max - 2 v].  Its q^(i - v) row G_i solves a G = 1:
 
-        H_i = -z^(-j) sum_{k=1..i} c^(k-1) A_k H_(i-k)
+        G_0 = z^(-j) / c,    G_i = sum_{k=1..i} W_k G_(i-k),
+        W_k = -A_k z^(-j) / c.
 
-    (substitute G into a G = 1: the D and the powers of c cancel), so
-    the recurrence runs in integers, and for Delta (c = D = 1) so does
-    the result.  The rows W_k = -c^(k-1) A_k and H_i are packed (_pack)
-    at the current slot width of nb bytes on their first use, so each
-    row is packed once per width and each step is one sum of
-    big-integer products and one _unpack_sum.
-
-    Slot width: every coefficient of the step-i sum is at most
-    B_i = sum_k min(len W_k, len H_(i-k)) max|W_k| max|H_(i-k)|, over the
-    k with both rows nonzero, and B_i >= max|W_k|, max|H_(i-k)| for each
-    such k.  B_i is checked at every step: if 2^(8 nb - 1) <= B_i, the
-    slot widens to the need _slot_bytes(B_i) and every packing made so
-    far is dropped, so a row used again is packed again at the new
-    width.  Then every packed entry and every slot of the sum lies
-    strictly within +-2^(8 nb - 1), as _pack and _unpack_sum require,
-    so no carry crosses a slot.  Widening to the exact need, not beyond
-    it, keeps every later product as narrow as the bound allows; a
-    repack is one pass over a row that the step multiplies anyway.
+    Each step is one _row_sum, and all steps share one pack cache, so
+    each W_k and G_i is scaled once and packed once per slot width.  The
+    rows are integers for a unit lead, as Delta's is, and Fractions
+    otherwise.
     """
     v = a.q_min
-    if len(a.row(v)._row) != 1:
+    lead = a.row(v)
+    if len(lead._row) != 1:
         raise ValueError("leading q-coefficient must be a single z-monomial")
-    den, arows = _integer_rows(a)
-    j, (c,) = arows[v]
-    q_min, q_max = -v, a.q_max - 2 * v
-    w = {m - v: (lo, [-c ** (m - v - 1) * x for x in row])
-         for m, (lo, row) in arows.items() if m > v}
-    h = [(-j, [1])]  # H_i as (lo, row); (0, []) if it vanishes
-    size = {id(row): max(map(abs, row)) for _, row in [*w.values(), *h]}
-    nb = 1
-    packed: dict[int, int] = {}  # id(row) -> the row packed at nb bytes
-    for i in range(1, q_max - q_min + 1):
-        terms = [(w[k], h[i - k]) for k in range(1, i + 1) if k in w and h[i - k][1]]
-        lo, row = 0, []
-        if terms:
-            bound = sum(min(len(x), len(y)) * size[id(x)] * size[id(y)]
-                        for (_, x), (_, y) in terms)
-            if _slot_bytes(bound) > nb:
-                nb, packed = _slot_bytes(bound), {}
-            for _, x in (r for pair in terms for r in pair):
-                if id(x) not in packed:
-                    packed[id(x)] = _pack(x, nb)
-            lo, row = _trim(*_unpack_sum([(xlo + ylo - j, packed[id(x)] * packed[id(y)],
-                                           len(x) + len(y) - 1)
-                                          for (xlo, x), (ylo, y) in terms], nb))
-        h.append((lo, row))
-        size[id(row)] = max(map(abs, row), default=0)
-    return QZSeries(q_min, q_max, {q_min + i: _rational_row(lo, row, Fraction(den, c ** (i + 1)))
-                                   for i, (lo, row) in enumerate(h) if row})
+    j, u = lead._lo, Fraction(1) / lead._row[0]
+    u = u.numerator if u.denominator == 1 else u
+    w = {m - v: (p._lo - j, [-x * u for x in p._row]) for m, p in a._rows.items() if m > v}
+    g = [(-j, [u])]
+    cache = _Packs()
+    for i in range(1, a.q_max - v + 1):
+        g.append(_row_sum([(w[k], g[i - k]) for k in range(1, i + 1) if k in w], cache))
+    return QZSeries(-v, a.q_max - 2 * v, {i - v: LaurentPoly._of(*r) for i, r in enumerate(g)})

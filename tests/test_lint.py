@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_no_assert_statements_in_package():
@@ -17,6 +18,45 @@ def test_no_assert_statements_in_package():
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def kernel_users(node, where, out):
+    """Add to out the outermost function (or "<module>") around each
+    reference to _pack or _unpack_sum below node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id in ("_pack", "_unpack_sum")
+                or isinstance(child, ast.Attribute) and child.attr in ("_pack", "_unpack_sum")):
+            out.add(where)
+        inner = child.name if where == "<module>" and isinstance(child, ast.FunctionDef) else where
+        kernel_users(child, inner, out)
+
+
+def test_one_function_drives_the_kronecker_kernel():
+    # one driver means one slot proof covers every packed product
+    users = set()
+    for path in sorted((SRC / "localk3").glob("*.py")):
+        found: set = set()
+        kernel_users(ast.parse(path.read_text(), filename=str(path)), "<module>", found)
+        users |= {f"{path.name}:{name}" for name in found}
+    assert users == {"series.py:_row_sum"}
+
+
+def test_a_failing_given_test_does_not_end_the_run(tmp_path):
+    # with warnings as errors, a hypothesis failure report must not stop
+    # pytest with INTERNALERROR before the remaining tests run
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                           str(tmp_path / "test_probe.py")],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
 
 
 def test_checks_survive_optimized_mode():

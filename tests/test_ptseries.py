@@ -29,6 +29,10 @@ PT_MAIN_12_SIGNED_SHA256 = "d97a532a275255a43a475f6735e2d2f81762a9781d8170785317
 PT_XBAR_8_SHA256 = "3f5eebd7f37c70de3a6c4ff4683c5aba0373584e27a7f743bf3f573ef732ea86"
 
 
+def one(y_max, z_window):
+    return MultiSeries(y_max, z_window, {(ZERO_CLASS, 0): 1})
+
+
 def corrupt(series, klass, z_exp, delta):
     return series + MultiSeries(series.y_max, series.z_window, {(klass, z_exp): delta})
 
@@ -74,7 +78,7 @@ def test_pt_main_spot_coefficients():
 
 
 def test_pt_main_trivial_truncation():
-    assert pt_main(PTParams(0, 2)) == MultiSeries.one(0, (-2, 2))
+    assert pt_main(PTParams(0, 2)) == one(0, (-2, 2))
 
 
 def test_exp_and_product_forms_agree():
@@ -89,7 +93,7 @@ def borcherds_by_mul(params):
     pt_borcherds, which merges the factors of each (beta, z) and applies
     them in place."""
     lo, hi = window = params.work_window
-    out = MultiSeries.one(params.y_max, window)
+    out = one(params.y_max, window)
     for beta in enumerate_effective(params.y_max):
         for z in range(lo, hi + 1):
             n = abs(z)
@@ -237,7 +241,7 @@ def test_bps_extract_rejects_overreach():
 
 
 def kernel_power(g):
-    power = LaurentPoly.const(1)
+    power = LaurentPoly({0: 1})
     for _ in range(g):
         power = power * KY_KERNEL
     return power
@@ -256,7 +260,7 @@ def test_kernel_decompose_round_trips_palindromic_polys(half):
     p = LaurentPoly({j: c for i, c in enumerate(half) for j in (i, -i)})
     decomposition = _kernel_decompose(p, _kernel_rows(len(half)))
     assert all(type(c) is Fraction and c for c in decomposition.values())
-    rebuilt = LaurentPoly.zero()
+    rebuilt = LaurentPoly()
     for g, c in decomposition.items():
         rebuilt = rebuilt + kernel_power(g) * c
     assert rebuilt == p
@@ -295,7 +299,7 @@ def test_gv_extract_unsigned_gives_same_table():
 
 
 def test_gv_extract_of_one_is_empty():
-    table = gv_extract(MultiSeries.one(2, (-6, 6)))
+    table = gv_extract(one(2, (-6, 6)))
     assert table.entries == {}
     assert table.computed_h == frozenset({0, 1})
 

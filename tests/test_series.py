@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localk3.lattice import CurveClass, ZERO_CLASS
+from localk3.modular import delta
 from localk3.ptseries import PTParams, pt_main
 from localk3 import series
 from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _pack, _row_sum,
                             _trim, exp, log, pow_binomial, qz_invert, qz_mul)
 
 X = CurveClass(0, 1)  # weight-1 class, used as a one-variable stand-in
+
+
+def one(y_max, z_window):
+    return MultiSeries(y_max, z_window, {(ZERO_CLASS, 0): 1})
 
 
 def xpow(k):
@@ -32,7 +37,7 @@ def test_difference_of_squares():
 def test_identity_element():
     w = (-2, 2)
     s = MultiSeries(3, w, {(X, -1): Fraction(7, 3), (CurveClass(2, 1), 2): -4})
-    assert s * MultiSeries.one(3, w) == s
+    assert s * one(3, w) == s
 
 
 def test_inverse_pair_times_forward():
@@ -40,28 +45,28 @@ def test_inverse_pair_times_forward():
     inv = pow_binomial(X, 1, -1, -1, 5, w)
     assert inv == geometric(5, w)
     fwd = MultiSeries(5, w, {(ZERO_CLASS, 0): 1, (X, 1): -1})
-    assert inv * fwd == MultiSeries.one(5, w)
+    assert inv * fwd == one(5, w)
 
 
 def test_mul_requires_shared_truncation():
-    a = MultiSeries.one(2, (0, 3))
-    b = MultiSeries.one(3, (0, 3))
+    a = one(2, (0, 3))
+    b = one(3, (0, 3))
     with pytest.raises(ValueError):
         a * b
-    c = MultiSeries.one(2, (4, 6))
+    c = one(2, (4, 6))
     with pytest.raises(ValueError):
         a * c
 
 
 def test_restrict_cannot_widen():
-    s = MultiSeries.one(2, (-2, 2))
+    s = one(2, (-2, 2))
     with pytest.raises(ValueError):
         s.restrict(-3, 2)
     assert s.restrict(0, 1).z_window == (0, 1)
 
 
 def test_exp_of_zero():
-    assert exp(MultiSeries.zero(3, (0, 3))) == MultiSeries.one(3, (0, 3))
+    assert exp(MultiSeries(3, (0, 3))) == one(3, (0, 3))
 
 
 def test_exp_single_term_factorials():
@@ -78,7 +83,7 @@ def test_exp_rejects_pure_z_terms():
 
 def test_log_needs_constant_one():
     with pytest.raises(ValueError):
-        log(MultiSeries.zero(2, (0, 2)))
+        log(MultiSeries(2, (0, 2)))
     with pytest.raises(ValueError):
         log(MultiSeries(2, (0, 2), {(ZERO_CLASS, 0): 1, (ZERO_CLASS, 1): 2}))
 
@@ -107,11 +112,11 @@ def test_pow_binomial_negative_24():
         assert s.coeff(xpow(k), k) == math.comb(k + 23, 23)
     # repeated multiplication oracle for the positive power
     base = MultiSeries(4, w, {(ZERO_CLASS, 0): 1, (X, 1): -1})
-    prod = MultiSeries.one(4, w)
+    prod = one(4, w)
     for _ in range(24):
         prod = prod * base
     assert pow_binomial(X, 1, -1, 24, 4, w) == prod
-    assert s * prod == MultiSeries.one(4, w)
+    assert s * prod == one(4, w)
 
 
 def test_pow_binomial_drops_out_of_window_terms():
@@ -188,7 +193,7 @@ def test_exp_log_roundtrip(d):
 def exp_by_powers(a):
     """exp(a) as the power sum sum_k a^k / k!, one full product per power:
     the oracle for the recurrence in exp."""
-    out = MultiSeries.one(a.y_max, a.z_window)
+    out = one(a.y_max, a.z_window)
     power = out
     for k in range(1, a.y_max + 1):
         power = naive_mul(power, a).scale(Fraction(1, k))
@@ -245,8 +250,8 @@ def test_stored_form_is_canonical(da, db, k):
                         if v and cls.weight <= y and w[0] <= z <= w[1]),
                        key=lambda t: (t[0].weight, t[0].a, t[1]))
     assert list(a.terms()) == reference
-    for same in (a * MultiSeries.one(y, w), MultiSeries(y, (-5, 5), da).restrict(*w),
-                 a + MultiSeries.zero(y, w), a.scale(k).scale(1 / k), (a - b) + b):
+    for same in (a * one(y, w), MultiSeries(y, (-5, 5), da).restrict(*w),
+                 a + MultiSeries(y, w), a.scale(k).scale(1 / k), (a - b) + b):
         assert same == a
         assert_canonical(same)
     for s in (a, b, a * b, a - b, a.scale(k)):
@@ -258,9 +263,9 @@ def log_by_powers(a):
     product per power: the oracle for the recurrence in log.  The
     products are MultiSeries.mul, which naive_mul checks above; a naive
     product would be too slow for the pair series below."""
-    b = a - MultiSeries.one(a.y_max, a.z_window)
-    out = MultiSeries.zero(a.y_max, a.z_window)
-    power = MultiSeries.one(a.y_max, a.z_window)
+    b = a - one(a.y_max, a.z_window)
+    out = MultiSeries(a.y_max, a.z_window)
+    power = one(a.y_max, a.z_window)
     for k in range(1, a.y_max + 1):
         power = power * b
         if power.is_zero():
@@ -312,27 +317,27 @@ def test_laurent_poly_basics():
     q = LaurentPoly({2: 3, 0: 1})
     assert not q.is_palindromic()
     assert (p * p).coeff(0) == 6
-    assert p - p == LaurentPoly.zero()
-    assert LaurentPoly.zero().width() == 0
+    assert p - p == LaurentPoly()
+    assert LaurentPoly().width() == 0
 
 
 def test_qz_mul_exact_range():
     # a exact to q^3, b exact to q^1: product determined to q^1
-    a = QZSeries(0, 3, {m: LaurentPoly.const(1) for m in range(4)})
-    b = QZSeries(0, 1, {0: LaurentPoly.const(1), 1: LaurentPoly.const(-1)})
+    a = QZSeries(0, 3, {m: LaurentPoly({0: 1}) for m in range(4)})
+    b = QZSeries(0, 1, {0: LaurentPoly({0: 1}), 1: LaurentPoly({0: -1})})
     ab = qz_mul(a, b)
     assert (ab.q_min, ab.q_max) == (0, 1)
-    assert ab.row(0) == LaurentPoly.const(1)
-    assert ab.row(1) == LaurentPoly.zero()
+    assert ab.row(0) == LaurentPoly({0: 1})
+    assert ab.row(1) == LaurentPoly()
 
 
 def test_qz_invert_geometric():
-    a = QZSeries(1, 4, {1: LaurentPoly.const(1), 2: LaurentPoly.monomial(-1, 1)})
+    a = QZSeries(1, 4, {1: LaurentPoly({0: 1}), 2: LaurentPoly({1: -1})})
     inv = qz_invert(a)  # 1 / (q (1 - z q)) = q^{-1} sum z^k q^k
     assert (inv.q_min, inv.q_max) == (-1, 2)
     for m in range(-1, 3):
-        assert inv.row(m) == LaurentPoly.monomial(1, m + 1)
-    assert qz_mul(a, inv).row(0) == LaurentPoly.const(1)
+        assert inv.row(m) == LaurentPoly({m + 1: 1})
+    assert qz_mul(a, inv).row(0) == LaurentPoly({0: 1})
 
 
 def test_qz_invert_needs_monomial_lead():
@@ -352,18 +357,18 @@ factor_shapes = st.lists(
 @given(factor_shapes)
 def test_qz_width_bound_closed_under_products_and_inverse(shapes):
     q_max = 8
-    prod = QZSeries(0, q_max, {0: LaurentPoly.const(1)})
+    prod = QZSeries(0, q_max, {0: LaurentPoly({0: 1})})
     for zexp, qexp, sign, power in shapes:
-        rows = {0: LaurentPoly.const(1)}
+        rows = {0: LaurentPoly({0: 1})}
         if qexp <= q_max:
-            rows[qexp] = LaurentPoly.monomial(sign, zexp)
+            rows[qexp] = LaurentPoly({zexp: sign})
         factor = QZSeries(0, q_max, rows)
         for _ in range(power):
             prod = qz_mul(prod, factor)
             prod.assert_z_width_bound()
     inv = qz_invert(prod)
     inv.assert_z_width_bound()
-    assert qz_mul(prod, inv).row(0) == LaurentPoly.const(1)
+    assert qz_mul(prod, inv).row(0) == LaurentPoly({0: 1})
 
 
 # dict-of-Fraction reference arithmetic for the dense QZSeries engine
@@ -470,11 +475,11 @@ def test_qz_invert_widens_the_slot_for_growing_rows(monkeypatch, bits):
     # 2^bits a row, so the slot widens again and again; for bits = 8 it
     # needs exactly one byte more every row
     x = 2**bits
-    a = QZSeries(0, 12, {0: LaurentPoly.const(1), 1: LaurentPoly.monomial(-x, 1)})
+    a = QZSeries(0, 12, {0: LaurentPoly({0: 1}), 1: LaurentPoly({1: -x})})
     widths = record_slot_widths(monkeypatch)
     inv = qz_invert(a)
     assert len(set(widths)) >= 3
-    assert inv.rows() == [(i, LaurentPoly.monomial(x**i, i)) for i in range(13)]
+    assert inv.rows() == [(i, LaurentPoly({i: x**i})) for i in range(13)]
     q_min, q_max, terms = ref_qz_invert(a)
     assert (inv.q_min, inv.q_max) == (q_min, q_max) and qz_terms(inv) == terms
 
@@ -485,7 +490,7 @@ def test_qz_invert_widens_the_slot_with_a_non_unit_lead(monkeypatch):
     # powers enter the recurrence through the q^2 row; the two-term rows
     # made at one slot width are multiplied at the next
     c, s = Fraction(-3, 2), Fraction(2**40, 5)
-    a = QZSeries(0, 10, {0: LaurentPoly.const(c),
+    a = QZSeries(0, 10, {0: LaurentPoly({0: c}),
                          1: LaurentPoly({0: -2 * c * s, 1: -2 * c * s}),
                          2: LaurentPoly({0: c * s * s, 1: 2 * c * s * s, 2: c * s * s})})
     widths = record_slot_widths(monkeypatch)
@@ -496,6 +501,25 @@ def test_qz_invert_widens_the_slot_with_a_non_unit_lead(monkeypatch):
     q_min, q_max, terms = ref_qz_invert(a)
     assert (inv.q_min, inv.q_max) == (q_min, q_max) and qz_terms(inv) == terms
     assert all_fractions(inv)
+
+
+def test_delta_path_packs_each_row_once_per_width(monkeypatch):
+    # qz_mul and qz_invert share one pack cache across their q-rows; the
+    # packed rows are kept in calls, so their ids stay distinct.  The
+    # counts are those of the drivers that packed each row once by hand
+    d = delta(62)
+    calls = []
+
+    def pack(row, nb):
+        calls.append((row, nb))
+        return _pack(row, nb)
+
+    monkeypatch.setattr(series, "_pack", pack)
+    for build, most in ((lambda: delta(62), 105), (lambda: qz_invert(d), 714)):
+        calls.clear()
+        build()
+        packed = [(id(row), nb) for row, nb in calls]
+        assert len(set(packed)) == len(packed) <= most
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 400])
@@ -548,7 +572,7 @@ def test_laurent_mul_cancellation_and_zero():
     assert laurent_terms(p * q) == {-2: 1, 2: -1}
     half = LaurentPoly({-2: Fraction(1, 2), 3: Fraction(-2, 3)})
     assert laurent_terms(half * LaurentPoly({0: 2})) == {-2: 1, 3: Fraction(-4, 3)}
-    assert (half * LaurentPoly.zero()).is_zero() and (LaurentPoly.zero() * half).is_zero()
+    assert (half * LaurentPoly()).is_zero() and (LaurentPoly() * half).is_zero()
     assert (half * 0).is_zero() and (half * Fraction(0)).is_zero()
 
 
@@ -599,7 +623,7 @@ def test_integral_coefficients_are_stored_as_int():
     assert type(frac_two._row[0]) is int
     half = LaurentPoly({-1: Fraction(1, 2), 1: Fraction(3, 2)})
     assert type((half + half)._row[0]) is int and type(half.scale(4)._row[-1]) is int
-    assert (half - half)._row == [] and half - half == LaurentPoly.zero()
+    assert (half - half)._row == [] and half - half == LaurentPoly()
 
 
 def test_float_coefficients_are_refused():
@@ -619,9 +643,9 @@ def test_float_coefficients_are_refused():
     with pytest.raises(TypeError):
         KY_KERNEL * 1.0
     with pytest.raises(TypeError):
-        MultiSeries.one(1, (0, 0)).scale(0.5)
+        one(1, (0, 0)).scale(0.5)
     with pytest.raises(TypeError):
-        0.5 * MultiSeries.one(1, (0, 0))
+        0.5 * one(1, (0, 0))
 
 
 def row_sum_by_schoolbook(pairs):
