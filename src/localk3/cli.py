@@ -144,18 +144,18 @@ def _run_isometry(cfg: RunConfig) -> tuple[dict, list]:
         if not v.is_zero():
             vectors.append(v)
     js = [conjectural_J(v) for v in vectors]
-    mismatches = []
-    images = []
+    mismatches, images = [], []
     for i, (v, j) in enumerate(zip(vectors, js)):
         for name, gen in _GENERATORS:
             gv = apply_isometry(gen, v)
             jg = conjectural_J(gv)
-            record = {"vector": str(v), "generator": name, "image": str(gv)}
             if i == 0:
-                images.append({**record, "J": _rat(jg)})
+                images.append({"vector": str(v), "generator": name, "image": str(gv),
+                               "J": _rat(jg)})
             if (gv.mukai_square(), gv.divisibility(), jg) != (
                     v.mukai_square(), v.divisibility(), j):
-                mismatches.append({**record, "J_left": _rat(jg), "J_right": _rat(j)})
+                mismatches.append({"vector": str(v), "generator": name, "image": str(gv),
+                                   "J_left": _rat(jg), "J_right": _rat(j)})
     return {
         "J": _rat(js[0]),
         "images": images,

@@ -1,7 +1,7 @@
 """Euler characteristics of Hilbert schemes and the multiple-cover count J.
 
 chi(Hilb^n) of a K3 is the q^n coefficient of prod_{k>=1} (1-q^k)^{-24},
-computed by the sigma-recurrence of _eta_power; by convention
+computed by _eta_power as eight divisions by Jacobi's eta^3; by convention
 chi(Hilb^m) = 0 for m < 0.  For a nonzero Mukai vector v the rational count
 
     J(v) = sum_{k >= 1, k | div(v)} (1/k^2) chi(Hilb^{<v/k, v/k>/2 + 1})
@@ -15,29 +15,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .lattice import CurveClass, MukaiVector
-from .series import ConsistencyError
 
 
 def _eta_power(e: int, n: int) -> list[int]:
     """Coefficients of prod_{k>=1} (1-q^k)^e up to q^n, for any integer e.
 
-    log prod (1-q^k)^e = -e sum_{m>=1} sigma(m) q^m / m, so the
-    log-derivative gives m F_m = -e sum_{k=1..m} sigma(k) F_{m-k}, the
-    grading recurrence of series.exp, run in integers.
+    |e| // 3 steps by Jacobi's eta^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)
+    and |e| % 3 by Euler's eta = sum_{k in Z} (-1)^k q^(k(3k-1)/2).  With c
+    the step's series, f_m += sum_{s>0} c_s f_(m-s) top down multiplies by c,
+    and f_m -= the same sum bottom up divides by c; c_0 = 1 keeps f integral.
     """
-    sigma = [0] * (n + 1)
-    for d in range(1, n + 1):
-        sigma[d::d] = [s + d for s in sigma[d::d]]
-    out = [1]
-    for m in range(1, n + 1):
-        f, rem = divmod(-e * sum(map(mul, sigma[1:m + 1], reversed(out))), m)
-        if rem:
-            raise ConsistencyError(f"q^{m} coefficient of the eta power is not an integer")
-        out.append(f)
-    return out
+    f, ids = [1] + [0] * n, list(range(n + 1))  # the getters share these ints, to save memory
+    ks = [k for k in range(-n, n + 1) if k * k <= 2 * n]
+    jacobi = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in ks if k >= 0]
+    euler = sorted((k * (3 * k - 1) // 2, (-1) ** (k % 2)) for k in ks)
+    for series, steps in ((jacobi, abs(e) // 3), (euler, abs(e) % 3)):
+        if steps:  # the tap s = 0 keeps f_m, and s = 1 makes every get return a tuple
+            coeffs = [c if e > 0 or not s else -c for s, c in series]
+            taps = [(m, itemgetter(*[ids[m - s] for s, _ in series if s <= m])) for m in ids[1:]]
+            for m, get in (taps[::-1] if e > 0 else taps) * steps:
+                f[m] = sum(map(mul, coeffs, get(f)))
+    return f
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,8 @@ def hilb_euler(n: int) -> int:
     """chi(Hilb^n) of a K3 surface; zero for negative n."""
     if n < 0:
         return 0
-    global _cache
     if n >= len(_cache):
-        _cache = list(hilb_table(max(n, 2 * len(_cache))).values)
+        _cache[:] = hilb_table(max(n, 2 * len(_cache))).values
     return _cache[n]
 
 

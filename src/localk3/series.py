@@ -92,9 +92,9 @@ class LaurentPoly:
 
     @classmethod
     def _of(cls, lo: int, row: list) -> LaurentPoly:
-        """The polynomial sum row[i] z^(lo + i), from any dense row."""
+        """The polynomial sum row[i] z^(lo + i), from a row as _trim leaves it."""
         out = cls.__new__(cls)
-        out._lo, out._row = _trim(lo, row)
+        out._lo, out._row = lo, row
         return out
 
     def coeff(self, e: int) -> Fraction:
@@ -129,7 +129,7 @@ class LaurentPoly:
         for plo, prow in ((self._lo, self._row), (other._lo, other._row)):
             i = plo - lo
             row[i:i + len(prow)] = [u + v for u, v in zip(row[i:i + len(prow)], prow)]
-        return LaurentPoly._of(lo, row)
+        return LaurentPoly._of(*_trim(lo, row))
 
     def __neg__(self) -> LaurentPoly:
         return LaurentPoly._of(self._lo, [-v for v in self._row])
@@ -146,7 +146,7 @@ class LaurentPoly:
 
     def scale(self, k: Coeff) -> LaurentPoly:
         k = _frac(k)
-        return LaurentPoly._of(self._lo, [v * k for v in self._row]) if k else LaurentPoly()
+        return LaurentPoly._of(*_trim(self._lo, [v * k for v in self._row]))
 
     def __str__(self) -> str:
         if not self._row:

@@ -18,6 +18,9 @@ def run_cli(capsys, *args):
 STDOUT_SHA256 = [
     ("hilb --max 30",
      "faf40f87bf1a37df85769ff57f6acd71e762926c454223c4426a85bf2b626809"),
+    # the size of the cli benchmark's hilb run
+    ("hilb --max 3000",
+     "a1b16f40f6b17b24fe726171d0dd82b19a8076be825d02cab9fce44de62970ef"),
     ("pt --y-max 3 --z-max 4",
      "2151d3f583da8d485e8dc0adff574b3b7a05f34ad03fb6d54cc6f871bb152a29"),
     ("pt --y-max 3 --z-max 4 --signed --format csv",

@@ -69,6 +69,15 @@ def test_eta_power_matches_pentagonal_powering(e):
         assert _eta_power(e, n) == eta_by_pentagonal(e, n)
 
 
+@given(st.integers(-30, 30), st.integers(0, 80))
+def test_eta_power_times_its_inverse_is_one(e, n):
+    # e runs over all residues mod 3 of both signs, so eta^3 and eta steps
+    # are taken both multiplying and dividing
+    assert poly_mul_trunc(_eta_power(e, n), _eta_power(-e, n), n) == [1] + [0] * n
+    if e >= 0:
+        assert _eta_power(e, n) == eta_by_pentagonal(e, n)
+
+
 def test_hilb_table_matches_inverse_of_eta24():
     assert list(hilb_table(1000).values) == hilb_by_inverse(1000)
 

@@ -486,9 +486,11 @@ def test_qz_invert_widens_the_slot_for_growing_rows(monkeypatch, bits):
 
 def test_qz_invert_widens_the_slot_with_a_non_unit_lead(monkeypatch):
     # c (1 - x q)^2 with c = -3/2 and x = (2^40 / 5)(1 + z): the inverse is
-    # (1 / c) sum (i + 1) x^i q^i.  Over D = 50 the lead is -75, and its
-    # powers enter the recurrence through the q^2 row; the two-term rows
-    # made at one slot width are multiplied at the next
+    # (1 / c) sum (i + 1) x^i q^i.  1 / c = -2/3 makes every row a
+    # Fraction row, which _row_sum scales by the lcm of its denominators
+    # (products of 3 and powers of 5).  The scaled G_i grow by about 40
+    # bits a row, so the slot widens by about 5 bytes every step, and the
+    # W and G rows packed at one width are packed again at the next
     c, s = Fraction(-3, 2), Fraction(2**40, 5)
     a = QZSeries(0, 10, {0: LaurentPoly({0: c}),
                          1: LaurentPoly({0: -2 * c * s, 1: -2 * c * s}),
@@ -574,6 +576,27 @@ def test_laurent_mul_cancellation_and_zero():
     assert laurent_terms(half * LaurentPoly({0: 2})) == {-2: 1, 3: Fraction(-4, 3)}
     assert (half * LaurentPoly()).is_zero() and (LaurentPoly() * half).is_zero()
     assert (half * 0).is_zero() and (half * Fraction(0)).is_zero()
+
+
+def test_laurent_product_trims_its_row_once(monkeypatch):
+    # _row_sum trims the product row, and _of takes it as it is
+    calls = []
+
+    def trim(lo, row):
+        calls.append(row)
+        return _trim(lo, row)
+
+    monkeypatch.setattr(series, "_trim", trim)
+    half, third = LaurentPoly({-2: Fraction(1, 2), 3: 1}), LaurentPoly({0: 2, 1: Fraction(1, 3)})
+    for a, b, want in ((half, third, {-2: 1, -1: Fraction(1, 6), 3: 2, 4: Fraction(1, 3)}),
+                       (KY_KERNEL, KY_KERNEL, {-2: 1, -1: -4, 0: 6, 1: -4, 2: 1})):
+        calls.clear()
+        product = a * b
+        assert len(calls) == 1
+        assert laurent_terms(product) == want
+    # a sum can cancel at its ends, and a scaled Fraction row can turn integral
+    assert (half + LaurentPoly({3: -1})).width() == 0
+    assert [type(v) for v in (half * 2)._row] == [int] * 6
 
 
 def ref_add(a, b):
