@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .invariants import conjectural_J, hilb_table
+from .invariants import _j_by_key, conjectural_J, hilb_table
 from .lattice import (CurveClass, HodgeIsometry, MukaiVector, ZERO_CLASS,
                       POLARIZATION, SECTION, apply_isometry)
 from .ptseries import (ConsistencyError, PTParams, bps_extract, gv_extract,
@@ -143,17 +143,18 @@ def _run_isometry(cfg: RunConfig) -> tuple[dict, list]:
                         rng.randint(-9, 9))
         if not v.is_zero():
             vectors.append(v)
-    js = [conjectural_J(v) for v in vectors]
+    keys = [(v.mukai_square(), v.divisibility()) for v in vectors]
+    js = [_j_by_key(*key) for key in keys]
     mismatches, images = [], []
-    for i, (v, j) in enumerate(zip(vectors, js)):
+    for i, (v, key, j) in enumerate(zip(vectors, keys, js)):
         for name, gen in _GENERATORS:
             gv = apply_isometry(gen, v)
-            jg = conjectural_J(gv)
+            gkey = (gv.mukai_square(), gv.divisibility())
+            jg = _j_by_key(*gkey)
             if i == 0:
                 images.append({"vector": str(v), "generator": name, "image": str(gv),
                                "J": _rat(jg)})
-            if (gv.mukai_square(), gv.divisibility(), jg) != (
-                    v.mukai_square(), v.divisibility(), j):
+            if (gkey, jg) != (key, j):
                 mismatches.append({"vector": str(v), "generator": name, "image": str(gv),
                                    "J_left": _rat(jg), "J_right": _rat(j)})
     return {

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter, mul
 
 from .lattice import CurveClass, MukaiVector
@@ -72,20 +73,23 @@ def conjectural_J(v: MukaiVector) -> Fraction:
 
     The formula is evaluated on any nonzero vector; no effectivity or
     cone condition is imposed, and the value depends only on the square
-    and the divisibility.
+    and the divisibility, so it is looked up by them in _j_by_key.
     """
     if v.is_zero():
         raise ValueError("J is undefined on the zero vector")
-    div = v.divisibility()
+    return _j_by_key(v.mukai_square(), v.divisibility())
+
+
+@cache
+def _j_by_key(square: int, div: int) -> Fraction:
+    """J of the nonzero Mukai vectors of this square and divisibility:
+    for k | div the vector v/k has square square/k^2, an even integer."""
     total = Fraction(0)
     for k in range(1, div + 1):
-        if div % k:
-            continue
-        w = v.divide(k)
-        exponent = w.mukai_square() // 2 + 1
-        chi = hilb_euler(exponent)
-        if chi:
-            total += Fraction(chi, k * k)
+        if div % k == 0:
+            chi = hilb_euler(square // (2 * k * k) + 1)
+            if chi:
+                total += Fraction(chi, k * k)
     return total
 
 

@@ -36,9 +36,9 @@ from typing import Callable, Iterable, Iterator
 
 from .invariants import conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
-from .modular import inv_delta
+from .modular import DeltaSeries, delta
 from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, exp,
-                     log, pow_binomial)
+                     log, pow_binomial, qz_invert)
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,9 @@ def ky_identity_check(q_max: int, z_window: int,
                       pairs: Callable[[int, int], int] = ky_pairs_euler) -> list:
     """Compare sum_{h, n} chi(P_n, h) z^n q^{h-1} against 1/Delta.
 
-    The stable-pairs side is multiplied by the kernel z - 2 + 1/z, so
+    1/Delta is qz_invert of the triple-product Delta, not inv_delta's
+    recurrence, so the identity is checked against Delta itself.  The
+    stable-pairs side is multiplied by the kernel z - 2 + 1/z, so
     both sides are Laurent polynomials rowwise.  Rows are compared on
     |z-exponent| <= z_window - 1, the part the window determines.
     Returns the list of mismatches (q_exp, z_exp, left, right)."""
@@ -243,7 +245,8 @@ def ky_identity_check(q_max: int, z_window: int,
         raise ValueError("q_max must be >= -1")
     if z_window < 1:
         raise ValueError("z_window too small to determine any coefficient")
-    rhs = inv_delta(q_max)
+    inv = qz_invert(delta(q_max + 2))
+    rhs = DeltaSeries(inv.q_min, inv.q_max, inv._rows)
     top = z_window - 1
     mismatches = []
     for m in range(-1, q_max + 1):

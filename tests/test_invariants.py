@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from localk3.invariants import (J_closed_00n, J_closed_r0r, N_from_J, _eta_power,
-                                conjectural_J, hilb_euler, hilb_table)
+                                _j_by_key, conjectural_J, hilb_euler, hilb_table)
 from localk3.lattice import CurveClass, MukaiVector, POLARIZATION, ZERO_CLASS
 
 
@@ -198,3 +198,34 @@ def test_J_is_a_function_of_square_and_divisibility_on_a_box():
 @given(vectors)
 def test_J_negation_invariance(v):
     assert conjectural_J(-v) == conjectural_J(v)
+
+
+def J_by_divided_vectors(v):
+    """The divisor sum over the divided vectors v/k, each with its own
+    square: the oracle for the lookup by (square, divisibility)."""
+    div = v.divisibility()
+    return sum((Fraction(hilb_euler(v.divide(k).mukai_square() // 2 + 1), k * k)
+                for k in range(1, div + 1) if div % k == 0), Fraction(0))
+
+
+wide_vectors = st.tuples(*[st.integers(-30, 30)] * 4).map(
+    lambda t: MukaiVector(t[0], CurveClass(t[1], t[2]), t[3])).filter(
+    lambda v: not v.is_zero())
+
+
+@given(wide_vectors)
+def test_J_equals_the_divided_vector_sum(v):
+    assert conjectural_J(v) == J_by_divided_vectors(v)
+
+
+def test_J_is_the_same_before_and_after_a_sweep_fills_the_cache():
+    probes = [MukaiVector(0, CurveClass(2, 4), -2), MukaiVector(6, CurveClass(0, 12), -18),
+              MukaiVector(-4, CurveClass(8, 8), 4), MukaiVector(5, ZERO_CLASS, 5)]
+    _j_by_key.cache_clear()
+    before = [conjectural_J(v) for v in probes]
+    for r, a, b, n in itertools.product(range(-6, 7, 2), repeat=4):
+        if r or a or b or n:
+            conjectural_J(MukaiVector(r, CurveClass(a, b), n))
+    assert _j_by_key.cache_info().currsize > len(probes)
+    assert [conjectural_J(v) for v in probes] == before
+    assert before == [J_by_divided_vectors(v) for v in probes]

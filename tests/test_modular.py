@@ -3,10 +3,11 @@ import math
 
 import pytest
 
+from localk3 import modular, series
 from localk3.invariants import hilb_euler
 from localk3.modular import DeltaSeries, delta, inv_delta
 from localk3.ptseries import bps_extract
-from localk3.series import KY_KERNEL, ConsistencyError, LaurentPoly, QZSeries, qz_mul
+from localk3.series import KY_KERNEL, ConsistencyError, LaurentPoly, QZSeries, qz_invert, qz_mul
 
 # SHA-256 of the "q z coefficient" lines of inv_delta(40), and of the
 # "g h value" lines of bps_extract(inv_delta(40), 40), recorded from the
@@ -46,6 +47,33 @@ def test_theta_build_matches_factor_by_factor_build(q_max):
     oracle = delta_by_factors(q_max)
     assert (d.q_min, d.q_max) == (oracle.q_min, oracle.q_max)
     assert d.rows() == oracle.rows()
+
+
+def inv_delta_by_inversion(q_max):
+    """1/Delta as qz_invert of the triple-product Delta: the oracle for
+    the recurrence build."""
+    inv = qz_invert(delta(q_max + 2))
+    return DeltaSeries(inv.q_min, inv.q_max, inv._rows)
+
+
+@pytest.mark.parametrize("q_max", [-1, 0, 1, 2, 40, 80])
+def test_recurrence_build_matches_inverted_delta(q_max):
+    iv = inv_delta(q_max)
+    oracle = inv_delta_by_inversion(q_max)
+    assert (iv.q_min, iv.q_max) == (oracle.q_min, oracle.q_max) == (-1, q_max)
+    assert iv.rows() == oracle.rows()
+
+
+def test_inv_delta_does_not_build_or_invert_delta(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("inv_delta went through Delta")
+
+    for module, name in ((series, "qz_invert"), (series, "qz_mul"),
+                         (modular, "qz_mul"), (modular, "delta")):
+        monkeypatch.setattr(module, name, refuse)
+    iv = modular.inv_delta(60)
+    assert [sum(v for _, v in row.items()) for _, row in iv.rows()] == [
+        hilb_euler(m + 1) for m in range(-1, 61)]
 
 
 def test_wall_path_digests_at_q_40():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from localk3.invariants import conjectural_J, hilb_euler
 from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS,
                              enumerate_effective)
+from localk3 import ptseries
 from localk3.modular import inv_delta
 from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
                               _kernel_coeff, _kernel_decompose, _kernel_rows, _reported,
@@ -190,6 +191,19 @@ def test_ky_identity_holds():
     assert ky_identity_check(4, 8) == []
     assert ky_identity_check(-1, 3) == []
     assert ky_identity_check(2, 1) == []
+
+
+def test_wall_identity_inverts_the_triple_product_delta(monkeypatch):
+    # the right side is qz_invert(delta(q_max + 2)), not inv_delta's
+    # recurrence, so the identity tests Delta as the triple product builds it
+    calls = []
+    for name in ("qz_invert", "delta"):
+        def spy(*args, _fn=getattr(ptseries, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(ptseries, name, spy)
+    assert ky_identity_check(4, 4) == []
+    assert sorted(calls) == ["delta", "qz_invert"]
 
 
 def test_ky_identity_check_rejects_bad_params():
