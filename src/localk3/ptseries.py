@@ -107,11 +107,13 @@ def _index_terms(params: PTParams) -> Iterator[tuple[CurveClass, int, int, int]]
 
 def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
     """Cut to the reported window, where the result is exact, and check
-    that every coefficient there is an integer."""
+    that every coefficient there is an integer.  _of keeps the
+    denominator reduced, so some coefficient is not exactly when the
+    denominator is not 1."""
     out = series.restrict(-params.z_max, params.z_max)
-    bad = [(cls, k, v) for cls, k, v in out.terms() if v.denominator != 1]
-    if bad:
-        raise ConsistencyError(f"{label} produced non-integer coefficients", bad)
+    if out._den != 1:
+        raise ConsistencyError(f"{label} produced non-integer coefficients",
+                               [(cls, k, v) for cls, k, v in out.terms() if v.denominator != 1])
     return out
 
 
@@ -123,24 +125,23 @@ def _exp_sum(params: PTParams, label: str,
 
     J depends on its vector only through the Mukai square
     beta^2 - 2r(r + n) and the divisibility gcd(a, b, r, n), so it is
-    looked up once per such key.  The exponent is summed in integer
-    numerators over D, the lcm of the denominators of the J values, and
-    made one Fraction per (beta, k)."""
+    looked up once per such key.  The exponent is summed straight into
+    integer blocks, dense over the padded window, in numerators over D,
+    the lcm of the denominators of the J values."""
     js: dict[tuple[int, int], Fraction] = {}
     listed = []
     for beta, k, m, r, n in terms:
         key = (beta.self_intersection() - 2 * r * (r + n), math.gcd(beta.a, beta.b, r, n))
         if key not in js:
             js[key] = conjectural_J(MukaiVector(r, beta, r + n))
-        listed.append(((beta, k), m, key))
+        listed.append((beta.weight, beta.a, k, m, key))
     den = math.lcm(*(j.denominator for j in js.values()))
     num = {key: j.numerator * (den // j.denominator) for key, j in js.items()}
-    arg: dict[tuple[CurveClass, int], int] = {}
-    for bk, m, key in listed:
-        arg[bk] = arg.get(bk, 0) + m * num[key]
-    series = MultiSeries(params.y_max, params.work_window,
-                         {bk: Fraction(v, den) for bk, v in arg.items()})
-    return _reported(exp(series), params, label)
+    lo, hi = window = params.work_window
+    blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(params.y_max + 1)]
+    for w, a, k, m, key in listed:
+        blocks[w].setdefault(a, (lo, [0] * (hi - lo + 1)))[1][k - lo] += m * num[key]
+    return _reported(exp(MultiSeries._of(params.y_max, window, den, blocks)), params, label)
 
 
 def pt_main(params: PTParams) -> MultiSeries:

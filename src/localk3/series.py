@@ -18,12 +18,13 @@ convolves dense rows in _row_sum, the one Kronecker-substitution
 driver: _pack makes an integer row a big integer with fixed-width
 slots, so each row product is one big-integer product, and _unpack_sum
 reads a sum of such products back.  Its docstring holds the one slot
-proof.  qz_mul and qz_invert call it once per q-row over one pack cache
-per call, so each row is scaled once and packed once per slot width;
-LaurentPoly and MultiSeries products pass no cache.  exp and log share
-one grading recurrence, which keeps each weight as integer numerators
-over a denominator reduced by their common gcd.  Products, sums, exp,
-log and QZSeries inverses all run on the stored rows directly.
+proof.  qz_mul, qz_invert, MultiSeries sums and products, and the
+grading recurrence each share one pack cache over all their calls, so
+each row is scaled once and packed once per slot width; a LaurentPoly
+product passes no cache.  exp and log share that one recurrence, which
+keeps each weight as integer numerators over a denominator reduced by
+their common gcd.  Products, sums, exp, log and QZSeries inverses all
+run on the stored rows directly.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        return LaurentPoly._of(*_row_sum([((self._lo, self._row), (other._lo, other._row))]))
+        return LaurentPoly._of(*_row_sum([(1, (self._lo, self._row), (other._lo, other._row))]))
 
     __rmul__ = __mul__
 
@@ -258,10 +259,10 @@ class MultiSeries:
     def __add__(self, other: MultiSeries) -> MultiSeries:
         """Sum on the window intersection, over the lcm of the denominators."""
         y, lo, hi = self._meet(other)
-        den = math.lcm(self._den, other._den)
-        su, ou = ({0: (0, [den // s._den])} for s in (self, other))
+        den, unit, cache = math.lcm(self._den, other._den), {0: (0, [1])}, _Packs()
         return MultiSeries._of(y, (lo, hi), den, [
-            _block_product([(sb, su), (ob, ou)], lo, hi)
+            _block_product([(den // self._den, sb, unit), (den // other._den, ob, unit)],
+                           lo, hi, cache)
             for sb, ob in zip(self._blocks, other._blocks)])
 
     def __neg__(self) -> MultiSeries:
@@ -287,11 +288,12 @@ class MultiSeries:
     def mul(self, other: MultiSeries) -> MultiSeries:
         """Product, truncated to the shared weight bound and the window
         intersection.  Runs on integer blocks: weight w of the product
-        collects the block products of weights w1 + w2 = w."""
+        collects the block products of weights w1 + w2 = w, over one pack
+        cache for the whole product."""
         y, lo, hi = self._meet(other)
-        a, b = self._blocks, other._blocks
+        a, b, cache = self._blocks, other._blocks, _Packs()
         return MultiSeries._of(y, (lo, hi), self._den * other._den, [
-            _block_product([(a[i], b[w - i]) for i in range(w + 1)], lo, hi)
+            _block_product([(1, a[i], b[w - i]) for i in range(w + 1)], lo, hi, cache)
             for w in range(y + 1)])
 
     def restrict(self, z_lo: int, z_hi: int) -> MultiSeries:
@@ -343,21 +345,22 @@ def _graded(a: MultiSeries, gamma, constant: bool = True) -> MultiSeries:
 
     In integer blocks A_k = N_k / D, and S_j = P_j / d_j is kept
     reduced.  Step w puts its terms over D L, with L the lcm of
-    den(gamma(w, k)) d_{w-k} over the k whose term is nonzero, and then
-    divides P_w and d_w = D L by the gcd of d_w and every entry of P_w.
+    den(gamma(w, k)) d_{w-k} over the k whose term is nonzero, so the
+    term of k is the block pair (N_k, P_{w-k}) with the integer scalar
+    num(gamma(w, k)) L / (den(gamma(w, k)) d_{w-k}); it then divides
+    P_w and d_w = D L by the gcd of d_w and every entry of P_w.  The
+    scalars ride on the pairs, so the stored N_k and P_j rows are never
+    copied, and one pack cache serves every step: each row is packed
+    once per slot width over the whole recurrence.
     """
-    den, n = a._den, a._blocks
+    den, n, cache = a._den, a._blocks, _Packs()
     p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
     d = [1]
     for w in range(1, a.y_max + 1):
         terms = [(k, gamma(w, k)) for k in range(1, w + 1) if n[k] and p[w - k]]
         lcm = math.lcm(*(g.denominator * d[w - k] for k, g in terms))
-        pairs = []
-        for k, g in terms:
-            c = g.numerator * (lcm // (g.denominator * d[w - k]))
-            pairs.append(({x: (xlo, [c * v for v in row]) for x, (xlo, row) in n[k].items()},
-                          p[w - k]))
-        block = _block_product(pairs, a.z_lo, a.z_hi)
+        block = _block_product([(g.numerator * (lcm // (g.denominator * d[w - k])), n[k], p[w - k])
+                                for k, g in terms], a.z_lo, a.z_hi, cache)
         dw = den * lcm
         g = math.gcd(dw, *(math.gcd(*row) for _, row in block.values()))
         if g > 1:
@@ -463,23 +466,24 @@ class _Packs(dict):
 
 
 def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list]:
-    """Sum of the products of ((lo, row), (lo, row)) pairs of dense rows,
-    as a trimmed row, by Kronecker substitution.  Every product of rows
-    runs through here, and nothing else calls _pack or _unpack_sum.
+    """Sum of the products c * a * b over (c, (lo, a), (lo, b)) triples,
+    c a nonzero integer and a, b dense rows, as a trimmed row, by
+    Kronecker substitution.  Every product of rows runs through here,
+    and nothing else calls _pack or _unpack_sum.
 
     Each distinct row is scaled to integers v_i by the lcm d of its
     denominators and packed into X = sum_i v_i 2^(s i).  A pair's
     product X_a X_b packs the product of its rows; shifted by the pair's
-    offset and multiplied by m = D / (d_a d_b), with D the lcm of the
-    d_a d_b, the pairs sum to T = sum_k C_k 2^(s k), where C_k is D times
-    the coefficient sought.
+    offset and multiplied by c m, with m = D / (d_a d_b) and D the lcm
+    of the d_a d_b, the pairs sum to T = sum_k C_k 2^(s k), where C_k is
+    D times the coefficient sought.
 
-    Slot width: C_k sums, over the pairs, m times at most
+    Slot width: C_k sums, over the pairs, |c| m times at most
     min(len a, len b) products, each at most max|a| max|b| in size, so
-    |C_k| <= B = sum_pairs m min(len a, len b) max|a| max|b|.  The slot
-    is nb >= _slot_bytes(B) bytes, so 2^(s - 1) > B.  Rows with a
-    nonzero entry have max|v| <= B, so they fit the slots of _pack, and
-    _unpack_sum reads T back.
+    |C_k| <= B = sum_pairs |c| m min(len a, len b) max|a| max|b|.  The
+    slot is nb >= _slot_bytes(B) bytes, so 2^(s - 1) > B.  Rows with a
+    nonzero entry have max|v| <= B, as |c| >= 1, so they fit the slots
+    of _pack, and _unpack_sum reads T back.
 
     A cache passed across calls keeps each row's scaling and packing.
     Its width only widens, to nb = max(cache.nb, _slot_bytes(B)), and a
@@ -497,20 +501,19 @@ def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list]:
         e = cache[id(row)] = [row, d, ints, len(ints), max(map(abs, ints), default=0), 0, 0]
         return e
 
-    live = [(la + lb, x, y) for (la, a), (lb, b) in pairs
+    live = [(c, la + lb, x, y) for c, (la, a), (lb, b) in pairs
             if (x := cache.get(id(a)) or entry(a))[4] and (y := cache.get(id(b)) or entry(b))[4]]
     if not live:
         return 0, []
-    den = 1 if cache.integral else math.lcm(*{x[1] * y[1] for _, x, y in live})
+    den = 1 if cache.integral else math.lcm(*{x[1] * y[1] for _, _, x, y in live})
+    live = [(c * (den // (x[1] * y[1])), off, x, y) for c, off, x, y in live]
     nb = cache.nb = max(cache.nb, _slot_bytes(sum(
-        min(x[3], y[3]) * x[4] * y[4] * (1 if den == 1 else den // (x[1] * y[1]))
-        for _, x, y in live)))
-    for _, x, y in live:
+        abs(m) * min(x[3], y[3]) * x[4] * y[4] for m, _, x, y in live)))
+    for _, _, x, y in live:
         for e in (x, y):
             if e[5] != nb:
                 e[5:] = nb, _pack(e[2], nb)
-    lo, row = _unpack_sum([(off, x[6] * y[6] if den == 1 else x[6] * y[6] * (den // (x[1] * y[1])),
-                            x[3] + y[3] - 1) for off, x, y in live], nb)
+    lo, row = _unpack_sum([(off, x[6] * y[6] * m, x[3] + y[3] - 1) for m, off, x, y in live], nb)
     return _trim(lo, row if den == 1 else [Fraction(v, den) for v in row])
 
 
@@ -555,17 +558,21 @@ def _bias(nb: int, n: int) -> int:
     return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
 
 
-def _block_product(pairs: list, lo: int, hi: int) -> dict[int, tuple[int, list]]:
-    """Sum of the products of (block, block) pairs, class by class, cut
-    to the z-window [lo, hi]."""
+def _block_product(pairs: list, lo: int, hi: int,
+                   cache: _Packs) -> dict[int, tuple[int, list]]:
+    """Sum of the products c * x * y over (c, block x, block y) triples,
+    c a nonzero integer, class by class, cut to the z-window [lo, hi].
+    Every _row_sum call shares the caller's cache, so a row that meets
+    several target classes, or recurs across calls, is scaled once and
+    packed once per slot width."""
     by_class: dict[int, list] = {}
-    for x, y in pairs:
+    for c, x, y in pairs:
         for ax, rx in x.items():
             for ay, ry in y.items():
-                by_class.setdefault(ax + ay, []).append((rx, ry))
+                by_class.setdefault(ax + ay, []).append((c, rx, ry))
     out = {}
     for a, rows in by_class.items():
-        rlo, row = _row_sum(rows)
+        rlo, row = _row_sum(rows, cache)
         row = row[max(lo - rlo, 0):max(hi - rlo + 1, 0)]
         if any(row):
             out[a] = (max(lo, rlo), row)
@@ -585,7 +592,7 @@ def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
         raise ValueError("product q-range is empty")
     ra, rb = ({m: (p._lo, p._row) for m, p in s._rows.items()} for s in (a, b))
     cache = _Packs()
-    rows = {m: _row_sum([(x, rb[m - ma]) for ma, x in ra.items() if m - ma in rb], cache)
+    rows = {m: _row_sum([(1, x, rb[m - ma]) for ma, x in ra.items() if m - ma in rb], cache)
             for m in range(q_max, q_min - 1, -1)}
     return QZSeries(q_min, q_max, {m: LaurentPoly._of(*rows[m]) for m in sorted(rows)})
 
@@ -614,5 +621,5 @@ def qz_invert(a: QZSeries) -> QZSeries:
     g = [(-j, [u])]
     cache = _Packs()
     for i in range(1, a.q_max - v + 1):
-        g.append(_row_sum([(w[k], g[i - k]) for k in range(1, i + 1) if k in w], cache))
+        g.append(_row_sum([(1, w[k], g[i - k]) for k in range(1, i + 1) if k in w], cache))
     return QZSeries(-v, a.q_max - 2 * v, {i - v: LaurentPoly._of(*r) for i, r in enumerate(g)})

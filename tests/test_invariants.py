@@ -177,35 +177,41 @@ vectors = st.tuples(st.integers(-8, 8), st.integers(-8, 8),
     lambda v: not v.is_zero())
 
 
-@given(vectors, vectors)
-def test_J_depends_only_on_square_and_divisibility(v, w):
-    if (v.mukai_square() == w.mukai_square()
-            and v.divisibility() == w.divisibility()):
-        assert conjectural_J(v) == conjectural_J(w)
-
-
-def test_J_is_a_function_of_square_and_divisibility_on_a_box():
-    # the pair series looks J up once per (square, divisibility) key
-    seen = {}
-    for r, a, b, n in itertools.product(range(-6, 7), repeat=4):
-        v = MukaiVector(r, CurveClass(a, b), n)
-        if v.is_zero():
-            continue
-        key = (v.mukai_square(), v.divisibility())
-        assert seen.setdefault(key, conjectural_J(v)) == conjectural_J(v), v
-
-
-@given(vectors)
-def test_J_negation_invariance(v):
-    assert conjectural_J(-v) == conjectural_J(v)
-
-
 def J_by_divided_vectors(v):
     """The divisor sum over the divided vectors v/k, each with its own
     square: the oracle for the lookup by (square, divisibility)."""
     div = v.divisibility()
     return sum((Fraction(hilb_euler(v.divide(k).mukai_square() // 2 + 1), k * k)
                 for k in range(1, div + 1) if div % k == 0), Fraction(0))
+
+
+@given(vectors, vectors)
+def test_J_depends_only_on_square_and_divisibility(v, w):
+    # conjectural_J reads only the key, so it is checked against the
+    # divided-vector sum, which reads each divided vector itself
+    assert conjectural_J(v) == J_by_divided_vectors(v)
+    assert conjectural_J(w) == J_by_divided_vectors(w)
+    if (v.mukai_square() == w.mukai_square()
+            and v.divisibility() == w.divisibility()):
+        assert J_by_divided_vectors(v) == J_by_divided_vectors(w)
+
+
+def test_J_is_a_function_of_square_and_divisibility_on_a_box():
+    # the pair series looks J up once per (square, divisibility) key; the
+    # divided-vector sum must agree with it on every vector of the box
+    seen = {}
+    for r, a, b, n in itertools.product(range(-6, 7), repeat=4):
+        v = MukaiVector(r, CurveClass(a, b), n)
+        if v.is_zero():
+            continue
+        j = J_by_divided_vectors(v)
+        assert conjectural_J(v) == j, v
+        assert seen.setdefault((v.mukai_square(), v.divisibility()), j) == j, v
+
+
+@given(vectors)
+def test_J_negation_invariance(v):
+    assert conjectural_J(-v) == conjectural_J(v)
 
 
 wide_vectors = st.tuples(*[st.integers(-30, 30)] * 4).map(

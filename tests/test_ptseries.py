@@ -323,6 +323,21 @@ def test_gv_extract_needs_room():
         gv_extract(pt_main(PTParams(3, 2)))
 
 
+def test_reported_names_exactly_the_non_integer_coefficients():
+    params = PTParams(3, 4)
+    lo, hi = params.work_window
+    pt = pt_main(params)
+    wide = MultiSeries(3, (lo, hi), {(cls, k): v for cls, k, v in pt.terms()})
+    # an integer change, or a half in the padding strip, is not reported
+    assert _reported(corrupt(wide, SECTION, hi, Fraction(1, 2)), params, "x") == pt
+    assert _reported(corrupt(wide, FIBER, 0, Fraction(-3)), params, "x") != pt
+    bad = corrupt(corrupt(wide, SECTION, 1, Fraction(1, 2)), FIBER, -2, Fraction(2, 3))
+    with pytest.raises(ConsistencyError, match="^x produced non-integer coefficients$") as info:
+        _reported(bad, params, "x")
+    assert info.value.offenders == [(FIBER, -2, pt.coeff(FIBER, -2) + Fraction(2, 3)),
+                                    (SECTION, 1, pt.coeff(SECTION, 1) + Fraction(1, 2))]
+
+
 def test_gv_extract_flags_support_corruption():
     # an off-center bump breaks the support bound |z| <= beta^2/2 + 1
     bad = corrupt(signed_pt(), CurveClass(1, 1), 2, Fraction(1))

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 from localk3.lattice import CurveClass, ZERO_CLASS
 from localk3.modular import delta
 from localk3.ptseries import PTParams, pt_main
-from localk3 import series
-from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _pack, _row_sum,
-                            _trim, exp, log, pow_binomial, qz_invert, qz_mul)
+from localk3 import ptseries, series
+from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _Packs,
+                            _block_product, _pack, _row_sum, _trim, exp, log, pow_binomial,
+                            qz_invert, qz_mul)
 
 X = CurveClass(0, 1)  # weight-1 class, used as a one-variable stand-in
 
@@ -524,6 +525,34 @@ def test_delta_path_packs_each_row_once_per_width(monkeypatch):
         assert len(set(packed)) == len(packed) <= most
 
 
+def test_graded_recurrence_packs_each_row_once_per_width(monkeypatch):
+    # exp and log share one pack cache over all their steps, and the step
+    # scalars ride on the pairs, so no stored row is copied and packed
+    # again.  _pack sees each cache entry's scaled copy of a row, so the
+    # copies number at most the stored rows: those of the input, of the
+    # output and the constant 1.  The pack counts are those recorded
+    # when that cache came in
+    captured = []
+    monkeypatch.setattr(ptseries, "exp", lambda a: captured.append(a) or exp(a))
+    pt_main(PTParams(10, 12))
+    calls = []
+
+    def pack(row, nb):
+        calls.append((row, nb))
+        return _pack(row, nb)
+
+    monkeypatch.setattr(series, "_pack", pack)
+    a = captured[0]
+    e = exp(a)
+    for build, source, most in ((lambda: exp(a), a, 383), (lambda: log(e), e, 374)):
+        calls.clear()
+        out = build()
+        packed = [(id(row), nb) for row, nb in calls]
+        assert len(set(packed)) == len(packed) <= most
+        stored = sum(len(block) for s in (source, out) for block in s._blocks) + 1
+        assert len({id(row) for row, _ in calls}) <= stored
+
+
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 400])
 def test_qz_mul_at_the_slot_bound(k):
     # rows of all 2^k - 1 against rows of all -(2^k - 1): the q^1 row sums
@@ -713,16 +742,16 @@ def row_pairs(draw):
 
 @given(row_pairs())
 def test_kronecker_row_sum_matches_schoolbook(pairs):
-    assert typed(_row_sum(pairs)) == typed(row_sum_by_schoolbook(pairs))
+    assert typed(_row_sum([(1, a, b) for a, b in pairs])) == typed(row_sum_by_schoolbook(pairs))
 
 
 def test_row_sum_of_cancelling_pairs_is_empty():
     a, b = [3, 0, -7, 2**200], [1, -1]
-    assert _row_sum([((0, a), (-2, b)), ((-3, [-v for v in a]), (1, b))]) == (0, [])
+    assert _row_sum([(1, (0, a), (-2, b)), (1, (-3, [-v for v in a]), (1, b))]) == (0, [])
     h = [Fraction(1, 3), 0, Fraction(-5, 7)]
-    assert _row_sum([((1, h), (0, h)), ((0, h), (1, [-v for v in h]))]) == (0, [])
-    assert _row_sum([]) == (0, []) and _row_sum([((0, []), (0, [1]))]) == (0, [])
-    assert _row_sum([((0, [0, 0]), (5, [2**90]))]) == (0, [])
+    assert _row_sum([(1, (1, h), (0, h)), (1, (0, h), (1, [-v for v in h]))]) == (0, [])
+    assert _row_sum([]) == (0, []) and _row_sum([(1, (0, []), (0, [1]))]) == (0, [])
+    assert _row_sum([(1, (0, [0, 0]), (5, [2**90]))]) == (0, [])
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64, 400])
@@ -734,7 +763,43 @@ def test_row_sum_at_the_slot_bound(k):
     for n in (1, 2, 3, 255, 256):
         plus, minus = [top] * n, [-top] * n
         tent = [min(i + 1, 2 * n - 1 - i) for i in range(2 * n - 1)]
-        for pairs, lo, sign in (([((0, plus), (0, minus))], 0, -1),
-                                ([((0, minus), (0, minus))], 0, 1),
-                                ([((2, plus), (-3, minus))] * 8, -1, -8)):
+        for pairs, lo, sign in (([(1, (0, plus), (0, minus))], 0, -1),
+                                ([(1, (0, minus), (0, minus))], 0, 1),
+                                ([(1, (2, plus), (-3, minus))] * 8, -1, -8),
+                                ([(8, (2, plus), (-3, minus))], -1, -8),
+                                ([(-8, (2, plus), (-3, minus))], -1, 8)):
             assert _row_sum(pairs) == (lo, [sign * top * top * t for t in tent])
+
+
+@st.composite
+def block_triples(draw):
+    """Two calls' (scalar, block, block) triples over one pool of rows, so
+    a row recurs across classes, pairs and calls, at several offsets."""
+    pool = draw(st.lists(st.lists(row_values, max_size=8), min_size=1, max_size=5))
+    row = st.tuples(st.integers(-6, 6), st.sampled_from(pool))
+    block = st.dictionaries(st.integers(0, 3), row, max_size=3)
+    scalar = st.one_of(st.integers(-3, 3), st.integers(-2**100, 2**100)).filter(bool)
+    return [draw(st.lists(st.tuples(scalar, block, block), max_size=4)) for _ in range(2)]
+
+
+def typed_terms(lo, row):
+    return {e: (v, type(v)) for e, v in enumerate(row, lo) if v}
+
+
+@given(block_triples(), st.integers(-8, 0), st.integers(0, 8))
+def test_block_product_with_scalars_and_a_shared_cache_matches_schoolbook(calls, lo, hi):
+    cache = _Packs()
+    for triples in calls:
+        by_class = {}
+        for c, x, y in triples:
+            for ax, (la, a) in x.items():
+                for ay, rb in y.items():
+                    by_class.setdefault(ax + ay, []).append(((la, [c * v for v in a]), rb))
+        want = {}
+        for cls, pairs in by_class.items():
+            cut = {e: t for e, t in typed_terms(*row_sum_by_schoolbook(pairs)).items()
+                   if lo <= e <= hi}
+            if cut:
+                want[cls] = cut
+        got = _block_product(triples, lo, hi, cache)
+        assert {cls: typed_terms(*r) for cls, r in got.items()} == want
