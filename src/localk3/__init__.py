@@ -6,17 +6,15 @@ from .lattice import (CurveClass, HodgeIsometry, MukaiVector, apply_isometry,
                       enumerate_effective, mukai_pairing)
 from .series import (LaurentPoly, MultiSeries, QZSeries, exp, log,
                      pow_binomial, qz_invert, qz_mul)
-from .invariants import (HilbTable, J_closed_00n, J_closed_r0r, N_from_J,
-                         conjectural_J, hilb_euler, hilb_table)
+from .invariants import HilbTable, conjectural_J, hilb_euler, hilb_table
 from .modular import DeltaSeries, delta, inv_delta
 from .ptseries import (BPSTable, ConsistencyError, PTParams, bps_extract,
                        gv_extract, ky_identity_check, ky_pairs_euler,
                        pt_borcherds, pt_main, pt_xbar)
 
 __all__ = [
-    "BPSTable", "ConsistencyError", "CurveClass", "DeltaSeries",
-    "HilbTable", "HodgeIsometry", "J_closed_00n", "J_closed_r0r",
-    "LaurentPoly", "MukaiVector", "MultiSeries", "N_from_J", "PTParams",
+    "BPSTable", "ConsistencyError", "CurveClass", "DeltaSeries", "HilbTable",
+    "HodgeIsometry", "LaurentPoly", "MukaiVector", "MultiSeries", "PTParams",
     "QZSeries", "apply_isometry", "bps_extract", "conjectural_J", "delta",
     "enumerate_effective", "exp", "gv_extract", "hilb_euler", "hilb_table",
     "inv_delta", "ky_identity_check", "ky_pairs_euler", "log",

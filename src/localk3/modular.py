@@ -35,7 +35,9 @@ coefficient of m G_m, so at most the row sum m chi(Hilb^m), G_m at
 z = 1 times m.  That increases with m, so B = N chi(Hilb^N) bounds every
 slot of the build, and slots of s = 8 nb bits with 2^s > B never carry.
 A right shift drops only empty slots: U_l lies in |e| <= m - l, so
-z^-l U_l starts at slot N - m >= 0.
+z^-l U_l starts at slot N - m >= 0.  The row of G_m spans |e| <= m, and
+its ends are m + 1 != 0: z^m q^m comes from (1 - z q)^-2 alone.  So the
+integer row is a LaurentPoly row as it is.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .invariants import _eta_power, hilb_euler
-from .series import ConsistencyError, LaurentPoly, QZSeries, _trim, qz_mul
+from .series import ConsistencyError, LaurentPoly, QZSeries, qz_mul
 
 
 class DeltaSeries(QZSeries):
@@ -108,5 +110,5 @@ def inv_delta(q_max: int) -> DeltaSeries:
             row.append(c)
         packed.append(int.from_bytes(
             bytes(nb * (top - m)) + b"".join([c.to_bytes(nb, "little") for c in row]), "little"))
-        rows[m - 1] = LaurentPoly._of(*_trim(-m, row))
+        rows[m - 1] = LaurentPoly._of(1, -m, row)
     return DeltaSeries(-1, q_max, rows)

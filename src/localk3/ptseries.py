@@ -252,21 +252,12 @@ def ky_identity_check(q_max: int, z_window: int,
     mismatches = []
     for m in range(-1, q_max + 1):
         h = m + 1
-        row = LaurentPoly({n: pairs(h, n) for n in range(-z_window, z_window + 1)})
-        left, right = _window(row * KY_KERNEL, top), _window(rhs.row(m), top)
-        if left != right:
-            mismatches += [(m, j, Fraction(u), Fraction(v))
-                           for j, u, v in zip(range(-top, top + 1), left, right) if u != v]
+        left = LaurentPoly({n: pairs(h, n) for n in range(-z_window, z_window + 1)}) * KY_KERNEL
+        right = rhs.row(m)
+        diff = left - right  # exact whatever the two denominators are
+        mismatches += [(m, j, left.coeff(j), right.coeff(j))
+                       for j, v in enumerate(diff._row, diff._lo) if v and abs(j) <= top]
     return mismatches
-
-
-def _window(p: LaurentPoly, top: int) -> list:
-    """The coefficients of z^-top .. z^top in p, as a dense list."""
-    out = [0] * (2 * top + 1)
-    lo, hi = max(p._lo, -top), min(p._lo + len(p._row) - 1, top)
-    if lo <= hi:
-        out[lo + top:hi + top + 1] = p._row[lo - p._lo:hi - p._lo + 1]
-    return out
 
 
 @dataclass(frozen=True, eq=True)
@@ -290,11 +281,6 @@ class BPSTable:
                 if a != b:
                     out.append((g, h, a, b))
         return out
-
-
-def _kernel_coeff(g: int, j: int) -> int:
-    """Coefficient of z^j in (z - 2 + 1/z)^g = (z^(1/2) - z^(-1/2))^(2g)."""
-    return (-1) ** (g - j) * math.comb(2 * g, g - j) if abs(j) <= g else 0
 
 
 def _kernel_rows(g_max: int) -> list[list[int]]:
@@ -324,7 +310,7 @@ def _kernel_decompose(p: LaurentPoly, kernel: list[list[int]]) -> dict[int, Frac
     for g in range(len(work) - 1, -1, -1):
         c = work[g]
         if c:
-            out[g] = Fraction(c)
+            out[g] = Fraction(c, p._den)
             work[:g + 1] = [v - k * c for v, k in zip(work, kernel[g])]
     return out
 

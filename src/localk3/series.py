@@ -10,35 +10,32 @@ Two series types, both with exact coefficients; a float is refused:
 * QZSeries: series in q whose coefficients are Laurent polynomials in
   z, exact on a q-range [q_min, q_max].  q_min may be negative.
 
+Both store integer numerators over an explicit denominator, reduced so
+that equal values are stored alike; a Fraction appears only where a
+coefficient goes in or comes out.  A LaurentPoly, and so each QZSeries
+row, is a dense row with nonzero ends over its own denominator.  A
 MultiSeries stores integer blocks: per weight, the class coordinate a
-maps to a dense z-row of numerators over one common denominator, kept
-reduced so that equal series are stored alike.  A LaurentPoly, and so
-each QZSeries row, is a dense row with nonzero ends.  Every product
-convolves dense rows in _row_sum, the one Kronecker-substitution
-driver: _pack makes an integer row a big integer with fixed-width
-slots, so each row product is one big-integer product, and _unpack_sum
-reads a sum of such products back.  Its docstring holds the one slot
-proof.  qz_mul, qz_invert, MultiSeries sums and products, and the
-grading recurrence each share one pack cache over all their calls, so
-each row is scaled once and packed once per slot width; a LaurentPoly
-product passes no cache.  exp and log share that one recurrence, which
-keeps each weight as integer numerators over a denominator reduced by
-their common gcd.  Products, sums, exp, log and QZSeries inverses all
-run on the stored rows directly.
+maps to such a z-row, all over one denominator.  Every product
+convolves integer rows in _row_sum, the one Kronecker-substitution
+driver: _pack makes a row a big integer with fixed-width slots, so each
+row product is one big-integer product, and _unpack_sum reads a sum of
+such products back.  Its docstring holds the one slot proof.  qz_mul,
+qz_invert, MultiSeries sums and products, and the grading recurrence
+each share one pack cache over all their calls, so each row is packed
+once per slot width; a LaurentPoly product passes no cache.  exp and
+log share that one recurrence.  Products, sums, exp, log and QZSeries
+inverses all run on the stored rows directly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .lattice import CurveClass
 
 Coeff = int | Fraction
-_NUM = attrgetter("numerator")
-_DEN = attrgetter("denominator")
 
 
 class ConsistencyError(Exception):
@@ -49,15 +46,22 @@ class ConsistencyError(Exception):
         self.offenders = list(offenders)
 
 
-def _frac(x: Coeff) -> Fraction:
-    """A coefficient as a Fraction.  Only ints and Fractions are taken; a
-    float, say, would enter inexactly."""
+def _exact(x: Coeff) -> Coeff:
+    """x, checked to be an int or a Fraction: a float would enter inexactly."""
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x
 
 
-def _dense(c: Mapping[int, Coeff]) -> tuple[int, list]:
+def _numerators(coeffs: Mapping) -> tuple[int, dict]:
+    """(D, {key: D * value}) for a dict of exact values, D the lcm of
+    their denominators, so every value becomes an integer numerator over
+    D.  Values in lowest terms leave D and the nonzero numerators coprime."""
+    den = math.lcm(*(_exact(v).denominator for v in coeffs.values()))
+    return den, {key: v.numerator * (den // v.denominator) for key, v in coeffs.items()}
+
+
+def _dense(c: Mapping[int, int]) -> tuple[int, list]:
     """A nonempty row {exponent: value} as (lowest exponent, values upward)."""
     lo = min(c)
     row: list = [0] * (max(c) - lo + 1)
@@ -67,43 +71,42 @@ def _dense(c: Mapping[int, Coeff]) -> tuple[int, list]:
 
 
 def _trim(lo: int, row: list) -> tuple[int, list]:
-    """A dense row cut to its nonzero ends, with integral Fractions made
-    int; (0, []) if it vanishes."""
+    """A dense row cut to its nonzero ends; (0, []) if it vanishes."""
     i, j = 0, len(row)
     while i < j and not row[i]:
         i += 1
     while j > i and not row[j - 1]:
         j -= 1
-    row = row[i:j]
-    if Fraction in map(type, row):
-        row = [v if type(v) is int or v.denominator != 1 else v.numerator for v in row]
-    return (lo + i, row) if row else (0, [])
+    return (lo + i, row[i:j]) if i < j else (0, [])
 
 
 class LaurentPoly:
     """Finite Laurent polynomial in z with rational coefficients, stored as
-    the dense row sum row[i] z^(lo + i) with nonzero ends; integral values
-    are kept as int, so integer rows convolve in integer arithmetic."""
+    the dense row sum row[i] z^(lo + i) / den of integer numerators, in
+    the canonical form of _of."""
 
-    __slots__ = ("_lo", "_row")
+    __slots__ = ("_den", "_lo", "_row")
 
     def __init__(self, coeffs: Mapping[int, Coeff] | None = None):
-        c = {e: _frac(v) for e, v in coeffs.items()} if coeffs else {}
+        self._den, c = _numerators(coeffs or {})
         self._lo, self._row = _trim(*_dense(c)) if c else (0, [])
 
     @classmethod
-    def _of(cls, lo: int, row: list) -> LaurentPoly:
-        """The polynomial sum row[i] z^(lo + i), from a row as _trim leaves it."""
+    def _of(cls, den: int, lo: int, row: list[int]) -> LaurentPoly:
+        """sum row[i] z^(lo + i) / den, from den != 0 and an integer row as
+        _trim leaves it, stored with den and the row divided by their gcd,
+        signed to make den > 0, so that equal polynomials are stored alike."""
         out = cls.__new__(cls)
-        out._lo, out._row = lo, row
+        g = math.gcd(den, *row) if den > 0 else -math.gcd(den, *row)
+        out._den, out._lo, out._row = den // g, lo, row if g == 1 else [v // g for v in row]
         return out
 
     def coeff(self, e: int) -> Fraction:
         i = e - self._lo
-        return _frac(self._row[i]) if 0 <= i < len(self._row) else Fraction(0)
+        return Fraction(self._row[i], self._den) if 0 <= i < len(self._row) else Fraction(0)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return [(e, _frac(v)) for e, v in enumerate(self._row, self._lo) if v]
+        return [(e, Fraction(v, self._den)) for e, v in enumerate(self._row, self._lo) if v]
 
     def is_zero(self) -> bool:
         return not self._row
@@ -119,21 +122,21 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._lo == other._lo and self._row == other._row
+        return (self._den, self._lo, self._row) == (other._den, other._lo, other._row)
 
     def __hash__(self) -> int:
-        return hash((self._lo, tuple(self._row)))
+        return hash((self._den, self._lo, tuple(self._row)))
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        lo = min(self._lo, other._lo)
+        den, lo = math.lcm(self._den, other._den), min(self._lo, other._lo)
         row: list = [0] * (max(self._lo + len(self._row), other._lo + len(other._row)) - lo)
-        for plo, prow in ((self._lo, self._row), (other._lo, other._row)):
-            i = plo - lo
-            row[i:i + len(prow)] = [u + v for u, v in zip(row[i:i + len(prow)], prow)]
-        return LaurentPoly._of(*_trim(lo, row))
+        for p in (self, other):
+            i, m, n = p._lo - lo, den // p._den, len(p._row)
+            row[i:i + n] = [u + m * v for u, v in zip(row[i:i + n], p._row)]
+        return LaurentPoly._of(den, *_trim(lo, row))
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._of(self._lo, [-v for v in self._row])
+        return LaurentPoly._of(self._den, self._lo, [-v for v in self._row])
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         return self + (-other)
@@ -141,13 +144,15 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | Coeff) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return self.scale(other)
-        return LaurentPoly._of(*_row_sum([(1, (self._lo, self._row), (other._lo, other._row))]))
+        return LaurentPoly._of(self._den * other._den, *_row_sum(
+            [(1, (self._lo, self._row), (other._lo, other._row))]))
 
     __rmul__ = __mul__
 
     def scale(self, k: Coeff) -> LaurentPoly:
-        k = _frac(k)
-        return LaurentPoly._of(*_trim(self._lo, [v * k for v in self._row]))
+        k = _exact(k)
+        return LaurentPoly._of(self._den * k.denominator,
+                               *_trim(self._lo, [v * k.numerator for v in self._row]))
 
     def __str__(self) -> str:
         if not self._row:
@@ -171,14 +176,13 @@ class MultiSeries:
         z_lo, z_hi = z_window
         if y_max < 0 or z_lo > z_hi:
             raise ValueError("need y_max >= 0 and z_lo <= z_hi")
-        c = {key: _frac(v) for key, v in (coeffs or {}).items()}
-        den = math.lcm(*map(_DEN, c.values()))
+        den, c = _numerators(coeffs or {})
         rows: list[dict[int, dict[int, int]]] = [{} for _ in range(y_max + 1)]
         for (cls, k), v in c.items():
             if cls.weight < 0:
                 raise ValueError(f"class {cls} has negative weight")
             if cls.weight <= y_max and z_lo <= k <= z_hi:
-                rows[cls.weight].setdefault(cls.a, {})[k] = v.numerator * (den // v.denominator)
+                rows[cls.weight].setdefault(cls.a, {})[k] = v
         out = MultiSeries._of(y_max, z_window, den,
                               [{a: _dense(r) for a, r in block.items()} for block in rows])
         self.y_max, self.z_lo, self.z_hi = y_max, z_lo, z_hi
@@ -272,7 +276,7 @@ class MultiSeries:
         return self + (-other)
 
     def scale(self, k: Coeff) -> MultiSeries:
-        k = _frac(k)
+        k = _exact(k)
         return MultiSeries._of(self.y_max, self.z_window, self._den * k.denominator, [
             {a: (lo, [v * k.numerator for v in row]) for a, (lo, row) in block.items()}
             for block in self._blocks])
@@ -428,11 +432,12 @@ class QZSeries:
     def rows(self) -> list[tuple[int, LaurentPoly]]:
         return sorted(self._rows.items())
 
-    def coeff(self, m: int, z_exp: int) -> Fraction:
-        return self.row(m).coeff(z_exp)
-
-    def is_zero(self) -> bool:
-        return not self._rows
+    def _int_rows(self) -> tuple[int, dict[int, tuple[int, list[int]]]]:
+        """(D, {m: (lo, row)}): the rows as integer numerators over D, the
+        lcm of their denominators; a row already over D is not copied."""
+        den = math.lcm(*(p._den for p in self._rows.values()))
+        return den, {m: (p._lo, p._row if p._den == den else [v * (den // p._den) for v in p._row])
+                     for m, p in self._rows.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QZSeries):
@@ -456,65 +461,56 @@ class QZSeries:
 
 
 class _Packs(dict):
-    """Rows that _row_sum calls share, by id: an entry is [row, d,
-    numerators, length, max|numerator|, width, packing at that width],
-    with d the lcm of the row's denominators; the row itself is kept so
-    that its id is not reused.  nb is the slot width, which only widens;
-    integral says that every entry has d = 1."""
+    """Rows that _row_sum calls share, by id: an entry is [row, length,
+    max|v|, width, packing at that width]; the row itself is kept so that
+    its id is not reused.  nb is the slot width, which only widens."""
 
-    nb, integral = 1, True
+    nb = 1
 
 
-def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list]:
+def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list[int]]:
     """Sum of the products c * a * b over (c, (lo, a), (lo, b)) triples,
-    c a nonzero integer and a, b dense rows, as a trimmed row, by
+    c a nonzero integer and a, b dense integer rows, as a trimmed row, by
     Kronecker substitution.  Every product of rows runs through here,
     and nothing else calls _pack or _unpack_sum.
 
-    Each distinct row is scaled to integers v_i by the lcm d of its
-    denominators and packed into X = sum_i v_i 2^(s i).  A pair's
+    Each distinct row v is packed into X = sum_i v_i 2^(s i).  A pair's
     product X_a X_b packs the product of its rows; shifted by the pair's
-    offset and multiplied by c m, with m = D / (d_a d_b) and D the lcm
-    of the d_a d_b, the pairs sum to T = sum_k C_k 2^(s k), where C_k is
-    D times the coefficient sought.
+    offset and multiplied by c, the pairs sum to T = sum_k C_k 2^(s k),
+    where C_k is the coefficient sought.
 
-    Slot width: C_k sums, over the pairs, |c| m times at most
+    Slot width: C_k sums, over the pairs, |c| times at most
     min(len a, len b) products, each at most max|a| max|b| in size, so
-    |C_k| <= B = sum_pairs |c| m min(len a, len b) max|a| max|b|.  The
+    |C_k| <= B = sum_pairs |c| min(len a, len b) max|a| max|b|.  The
     slot is nb >= _slot_bytes(B) bytes, so 2^(s - 1) > B.  Rows with a
     nonzero entry have max|v| <= B, as |c| >= 1, so they fit the slots
     of _pack, and _unpack_sum reads T back.
 
-    A cache passed across calls keeps each row's scaling and packing.
-    Its width only widens, to nb = max(cache.nb, _slot_bytes(B)), and a
-    row is packed again only when its packing is narrower, so a row is
-    scaled once and packed once per width.  Without a cache,
-    nb = _slot_bytes(B).  Rows must not change while a cache holds them.
+    A cache passed across calls keeps each row's packing.  Its width
+    only widens, to nb = max(cache.nb, _slot_bytes(B)), and a row is
+    packed again only when its packing is narrower, so a row is packed
+    once per width.  Without a cache, nb = _slot_bytes(B).  Rows must
+    not change while a cache holds them.
     """
     if cache is None:
         cache = _Packs()
 
     def entry(row):
-        d = math.lcm(*map(_DEN, row))
-        ints = list(map(_NUM, row)) if d == 1 else [v.numerator * (d // v.denominator) for v in row]
-        cache.integral &= d == 1
-        e = cache[id(row)] = [row, d, ints, len(ints), max(map(abs, ints), default=0), 0, 0]
+        e = cache[id(row)] = [row, len(row), max(map(abs, row), default=0), 0, 0]
         return e
 
     live = [(c, la + lb, x, y) for c, (la, a), (lb, b) in pairs
-            if (x := cache.get(id(a)) or entry(a))[4] and (y := cache.get(id(b)) or entry(b))[4]]
+            if (x := cache.get(id(a)) or entry(a))[2] and (y := cache.get(id(b)) or entry(b))[2]]
     if not live:
         return 0, []
-    den = 1 if cache.integral else math.lcm(*{x[1] * y[1] for _, _, x, y in live})
-    live = [(c * (den // (x[1] * y[1])), off, x, y) for c, off, x, y in live]
     nb = cache.nb = max(cache.nb, _slot_bytes(sum(
-        abs(m) * min(x[3], y[3]) * x[4] * y[4] for m, _, x, y in live)))
+        abs(c) * min(x[1], y[1]) * x[2] * y[2] for c, _, x, y in live)))
     for _, _, x, y in live:
         for e in (x, y):
-            if e[5] != nb:
-                e[5:] = nb, _pack(e[2], nb)
-    lo, row = _unpack_sum([(off, x[6] * y[6] * m, x[3] + y[3] - 1) for m, off, x, y in live], nb)
-    return _trim(lo, row if den == 1 else [Fraction(v, den) for v in row])
+            if e[3] != nb:
+                e[3:] = nb, _pack(e[0], nb)
+    return _trim(*_unpack_sum([(off, x[4] * y[4] * c, x[1] + y[1] - 1)
+                               for c, off, x, y in live], nb))
 
 
 def _slot_bytes(bound: int) -> int:
@@ -563,8 +559,8 @@ def _block_product(pairs: list, lo: int, hi: int,
     """Sum of the products c * x * y over (c, block x, block y) triples,
     c a nonzero integer, class by class, cut to the z-window [lo, hi].
     Every _row_sum call shares the caller's cache, so a row that meets
-    several target classes, or recurs across calls, is scaled once and
-    packed once per slot width."""
+    several target classes, or recurs across calls, is packed once per
+    slot width."""
     by_class: dict[int, list] = {}
     for c, x, y in pairs:
         for ax, rx in x.items():
@@ -582,44 +578,47 @@ def _block_product(pairs: list, lo: int, hi: int,
 def qz_mul(a: QZSeries, b: QZSeries) -> QZSeries:
     """Product, exact on the q-range the factors jointly determine.
 
-    The q^m row is one _row_sum over the row pairs (q^ma, q^(m - ma)),
-    and all rows share one pack cache.  m runs from q_max down, so the
-    widest bound comes first for series whose rows grow with m, such as
-    Delta's factors, and each factor row is then packed at one width."""
+    Each factor is put over one denominator, da and db, so every row of
+    the product is over da db.  The q^m row is one _row_sum over the row
+    pairs (q^ma, q^(m - ma)), and all rows share one pack cache.  m runs
+    from q_max down, so the widest bound comes first for series whose
+    rows grow with m, such as Delta's factors, and each factor row is
+    then packed at one width."""
     q_min = a.q_min + b.q_min
     q_max = min(a.q_max + b.q_min, b.q_max + a.q_min)
     if q_min > q_max:
         raise ValueError("product q-range is empty")
-    ra, rb = ({m: (p._lo, p._row) for m, p in s._rows.items()} for s in (a, b))
+    (da, ra), (db, rb) = a._int_rows(), b._int_rows()
     cache = _Packs()
     rows = {m: _row_sum([(1, x, rb[m - ma]) for ma, x in ra.items() if m - ma in rb], cache)
             for m in range(q_max, q_min - 1, -1)}
-    return QZSeries(q_min, q_max, {m: LaurentPoly._of(*rows[m]) for m in sorted(rows)})
+    return QZSeries(q_min, q_max, {m: LaurentPoly._of(da * db, *rows[m]) for m in sorted(rows)})
 
 
 def qz_invert(a: QZSeries) -> QZSeries:
     """Inverse of a series whose lowest q-row is a single z-monomial.
 
-    With A_k the row of q^(v + k) and lead A_0 = c z^j, the inverse is
-    exact on [-v, a.q_max - 2 v].  Its q^(i - v) row G_i solves a G = 1:
+    Over one denominator D, the row of q^(v + k) is A_k = N_k / D, with
+    lead N_0 = c z^j.  The inverse is exact on [-v, a.q_max - 2 v], and
+    its q^(i - v) row, which solves a G = 1, is G_i = D P_i / c^(i + 1)
+    (_of moves the sign into the numerator) in the integer rows
 
-        G_0 = z^(-j) / c,    G_i = sum_{k=1..i} W_k G_(i-k),
-        W_k = -A_k z^(-j) / c.
+        P_0 = z^(-j),    P_i = -sum_{k=1..i} c^(k-1) N_k z^(-j) P_(i-k).
 
-    Each step is one _row_sum, and all steps share one pack cache, so
-    each W_k and G_i is scaled once and packed once per slot width.  The
-    rows are integers for a unit lead, as Delta's is, and Fractions
-    otherwise.
+    For Delta, D = c = 1 and P_i = G_i.  Each step is one _row_sum with
+    c^(k-1) as the scalar of its pairs, and all steps share one pack
+    cache, so each -N_k z^(-j) and P_i is packed once per slot width.
     """
     v = a.q_min
-    lead = a.row(v)
-    if len(lead._row) != 1:
+    den, n = a._int_rows()
+    if len(n.get(v, (0, []))[1]) != 1:
         raise ValueError("leading q-coefficient must be a single z-monomial")
-    j, u = lead._lo, Fraction(1) / lead._row[0]
-    u = u.numerator if u.denominator == 1 else u
-    w = {m - v: (p._lo - j, [-x * u for x in p._row]) for m, p in a._rows.items() if m > v}
-    g = [(-j, [u])]
+    j, (c,) = n[v]
+    w = {m - v: (lo - j, [-x for x in row]) for m, (lo, row) in n.items() if m > v}
+    p = [(-j, [1])]
     cache = _Packs()
     for i in range(1, a.q_max - v + 1):
-        g.append(_row_sum([(1, w[k], g[i - k]) for k in range(1, i + 1) if k in w], cache))
-    return QZSeries(-v, a.q_max - 2 * v, {i - v: LaurentPoly._of(*r) for i, r in enumerate(g)})
+        p.append(_row_sum([(c ** (k - 1), x, p[i - k]) for k, x in w.items() if k <= i], cache))
+    return QZSeries(-v, a.q_max - 2 * v, {
+        i - v: LaurentPoly._of(c ** (i + 1), lo, row if den == 1 else [den * x for x in row])
+        for i, (lo, row) in enumerate(p)})

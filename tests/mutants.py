@@ -1,0 +1,172 @@
+"""Mutation harness: each mutant is one exact text edit in src/localk3,
+and the tests named with it must fail on the edited copy.
+
+    python tests/mutants.py [NAME ...]
+
+For each mutant (every one, or those named) the script copies src/ to a
+temporary directory, applies the edit there, and runs the named tests
+against the copy in a pytest subprocess with a timeout.  It prints one
+line per mutant and exits 1 if any survives: a named test passes, the
+run ends in anything but test failures, or the old text is not found
+exactly once.  Standard library only.  Tier-1 does not collect this
+file; tests/test_lint.py checks that every old text occurs exactly once
+in src/, so the table cannot rot silently.  A kernel change adds its
+mutants here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+TIMEOUT = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # a module of src/localk3
+    old: str  # exact text, found once in the file
+    new: str
+    tests: tuple[str, ...]  # node ids that must fail; an id without [...] covers every case
+
+
+S, P, M, I = (f"tests/test_{m}.py::" for m in ("series", "ptseries", "modular", "invariants"))
+MUTANTS = (
+    Mutant("laurent-gcd-skipped", "series.py",
+           "g = math.gcd(den, *row) if den > 0 else -math.gcd(den, *row)",
+           "g = 1 if den > 0 else -1",
+           (f"{S}test_integral_coefficients_are_stored_as_int",
+            f"{S}test_laurent_results_are_canonical",
+            f"{S}test_laurent_product_trims_its_row_once")),
+    Mutant("qz-invert-drops-c-power", "series.py",
+           "(c ** (k - 1), x, p[i - k])", "(1, x, p[i - k])",
+           (f"{S}test_qz_invert_non_unit_lead_and_negative_q_min",
+            f"{S}test_qz_invert_widens_the_slot_with_a_non_unit_lead",
+            f"{S}test_qz_invert_matches_reference_recurrence")),
+    Mutant("row-sum-bound-drops-abs-c", "series.py",
+           "abs(c) * min(x[1], y[1]) * x[2] * y[2]", "min(x[1], y[1]) * x[2] * y[2]",
+           (f"{S}test_row_sum_at_the_slot_bound",
+            f"{S}test_block_product_with_scalars_and_a_shared_cache_matches_schoolbook")),
+    Mutant("slot-one-byte-narrow", "series.py",
+           "return bound.bit_length() // 8 + 1", "return max(bound.bit_length() // 8, 1)",
+           (f"{S}test_row_sum_at_the_slot_bound",
+            f"{S}test_qz_mul_at_the_slot_bound",
+            f"{S}test_kronecker_row_sum_matches_schoolbook")),
+    Mutant("stale-packing-kept", "series.py",
+           "if e[3] != nb:", "if not e[3]:",
+           (f"{S}test_qz_invert_widens_the_slot_with_a_non_unit_lead",
+            f"{S}test_block_product_with_scalars_and_a_shared_cache_matches_schoolbook",
+            f"{M}test_recurrence_build_matches_inverted_delta[40]")),
+    Mutant("multiseries-gcd-skipped", "series.py",
+           "if g > 1:\n                den //= g", "if False:\n                den //= g",
+           (f"{S}test_stored_form_is_canonical",
+            f"{S}test_production_mul_matches_naive_oracle")),
+    Mutant("qz-mul-product-den-dropped", "series.py",
+           "LaurentPoly._of(da * db, *rows[m])", "LaurentPoly._of(da, *rows[m])",
+           (f"{S}test_qz_mul_matches_reference_convolution",
+            f"{S}test_qz_invert_non_unit_lead_and_negative_q_min")),
+    Mutant("kernel-decompose-drops-den", "ptseries.py",
+           "out[g] = Fraction(c, p._den)", "out[g] = Fraction(c)",
+           (f"{P}test_kernel_decompose_round_trips_palindromic_polys",)),
+    Mutant("ky-check-compares-raw-numerators", "ptseries.py",
+           "diff = left - right",
+           "diff = LaurentPoly._of(1, left._lo, left._row) - LaurentPoly._of(1, right._lo, right._row)",
+           (f"{P}test_ky_identity_compares_rational_rows_exactly",)),
+    Mutant("reported-never-raises", "ptseries.py",
+           "if out._den != 1:", "if False:",
+           (f"{P}test_reported_names_exactly_the_non_integer_coefficients",)),
+    Mutant("j-key-drops-divisibility", "ptseries.py",
+           "math.gcd(beta.a, beta.b, r, n)", "math.gcd(beta.a, beta.b)",
+           (f"{P}test_pairs_path_digests_at_y_8", f"{P}test_pt_main_spot_coefficients")),
+    Mutant("eta-power-jacobi-coefficient", "invariants.py",
+           "(-1) ** k * (2 * k + 1))", "(-1) ** k * (2 * k + 1) + (k == 3))",
+           (f"{I}test_hilb_matches_exponential_oracle_to_200", f"{I}test_hilb_table_2000_digest")),
+    Mutant("inv-delta-drops-20-sigma", "modular.py",
+           "(20 * flat + 2 * shifted)", "(2 * shifted)",
+           (f"{M}test_inv_delta_first_rows",
+            f"{M}test_wall_path_digests_at_q_40")),
+    Mutant("inv-delta-z-shift-off-by-one", "modular.py",
+           "(u >> (s * l))", "(u >> (s * (l - 1)))",
+           (f"{M}test_inv_delta_first_rows",
+            f"{M}test_wall_path_digests_at_q_40")),
+)
+
+
+def _failed(stdout: str, cwd: str) -> set[str]:
+    """The node ids, relative to the repository, that a pytest -rf summary
+    reports as failed; the summary gives their paths relative to cwd."""
+    out = set()
+    for line in stdout.splitlines():
+        if line.startswith("FAILED "):
+            path, _, rest = line[len("FAILED "):].partition(" - ")[0].partition("::")
+            out.add(f"{(Path(cwd) / path).resolve().relative_to(ROOT).as_posix()}::{rest}")
+    return out
+
+
+def _covers(wanted: str, failed: set[str]) -> bool:
+    return any(f == wanted or f.startswith(wanted + "[") for f in failed)
+
+
+def run(m: Mutant) -> tuple[bool, str]:
+    """(caught, detail) for one mutant, run on a mutated copy of src/."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "localk3" / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return False, f"old text occurs {text.count(m.old)} times in {m.file}"
+        path.write_text(text.replace(m.old, m.new))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run([sys.executable, "-c", "import localk3; print(localk3.__file__)"],
+                               capture_output=True, text=True, env=env, cwd=tmp, timeout=60)
+        if not where.stdout.startswith(str(src)):
+            return False, f"localk3 imported from {where.stdout.strip() or where.stderr}"
+        # run from the temporary directory, so hypothesis writes nothing into the repo
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+               "--hypothesis-profile=mutants", "--rootdir", str(ROOT),
+               "-c", str(ROOT / "pyproject.toml"),
+               *(str(ROOT / t) for t in m.tests)]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp,
+                                  timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT} s"
+        failed = _failed(proc.stdout, tmp)
+    missed = [t for t in m.tests if not _covers(t, failed)]
+    if proc.returncode != 1 or missed:
+        tail = proc.stdout.strip().splitlines()[-1:] or proc.stderr.strip().splitlines()[-1:]
+        return False, f"exit {proc.returncode}, passed: {missed or '-'}; {' '.join(tail)}"
+    return True, f"{len(failed)} failed"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    survivors = []
+    start = time.perf_counter()
+    for m in MUTANTS:
+        if names and m.name not in names:
+            continue
+        t = time.perf_counter()
+        caught, detail = run(m)
+        print(f"{'caught ' if caught else 'SURVIVED'} {m.name:34s} {time.perf_counter() - t:5.1f} s"
+              f"  {detail}", flush=True)
+        if not caught:
+            survivors.append(m.name)
+    print(f"{len(survivors)} survivors in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

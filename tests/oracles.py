@@ -1,0 +1,35 @@
+"""Closed forms that the tests compare the engine with; the package
+itself never calls them."""
+
+import math
+from fractions import Fraction
+
+from localk3.invariants import conjectural_J
+from localk3.lattice import CurveClass, MukaiVector
+
+
+def N_from_J(r: int, beta: CurveClass, n: int) -> Fraction:
+    """Sheaf count N(r, beta, n) = 2 J(r, beta, r + n)."""
+    if r == 0 and n == 0 and beta.is_zero():
+        raise ValueError("N is undefined on the zero triple")
+    return 2 * conjectural_J(MukaiVector(r, beta, r + n))
+
+
+def J_closed_00n(n: int) -> Fraction:
+    """Closed form J(0, 0, n) = 24 sum_{k | n} 1/k^2 for n != 0."""
+    if n == 0:
+        raise ValueError("need n != 0")
+    n = abs(n)
+    return 24 * sum(Fraction(1, k * k) for k in range(1, n + 1) if n % k == 0)
+
+
+def J_closed_r0r(r: int) -> Fraction:
+    """Closed form J(r, 0, r) = 1/r^2 for r != 0."""
+    if r == 0:
+        raise ValueError("need r != 0")
+    return Fraction(1, r * r)
+
+
+def kernel_coeff(g: int, j: int) -> int:
+    """Coefficient of z^j in (z - 2 + 1/z)^g = (z^(1/2) - z^(-1/2))^(2g)."""
+    return (-1) ** (g - j) * math.comb(2 * g, g - j) if abs(j) <= g else 0

@@ -10,8 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from localk3 import cli
-from localk3.invariants import (J_closed_00n, J_closed_r0r, conjectural_J,
-                                hilb_euler, hilb_table)
+from localk3.invariants import conjectural_J, hilb_euler, hilb_table
 from localk3.lattice import (CurveClass, HodgeIsometry, MukaiVector,
                              POLARIZATION, SECTION, ZERO_CLASS, apply_isometry,
                              mukai_pairing)
@@ -20,6 +19,7 @@ from localk3.ptseries import (PTParams, bps_extract, gv_extract,
                               ky_identity_check, ky_pairs_euler, pt_borcherds,
                               pt_main, pt_xbar)
 from localk3.series import MultiSeries, QZSeries, LaurentPoly, exp, log, qz_invert, qz_mul
+from oracles import J_closed_00n, J_closed_r0r
 
 
 @contextmanager

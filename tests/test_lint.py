@@ -41,6 +41,58 @@ def test_one_function_drives_the_kronecker_kernel():
     assert users == {"series.py:_row_sum"}
 
 
+INTEGER_KERNEL = ("_row_sum", "_block_product", "_pack", "_unpack_sum", "_trim")
+RATIONAL_NAMES = {"Fraction", "numerator", "denominator"}
+
+
+def test_the_kronecker_kernel_is_integer_only():
+    # denominators live in LaurentPoly and MultiSeries, so the kernel
+    # functions never see a Fraction and the pack cache has no integral flag
+    tree = ast.parse((SRC / "localk3" / "series.py").read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_KERNEL:
+            # names, attributes, and strings such as attrgetter("numerator")
+            used = {getattr(n, "id", getattr(n, "attr", getattr(n, "value", None)))
+                    for n in ast.walk(node)}
+            found[node.name] = sorted(used & RATIONAL_NAMES)
+    assert found == {name: [] for name in INTEGER_KERNEL}
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "integral" for n in ast.walk(tree))
+    from localk3.series import _Packs
+    assert not hasattr(_Packs(), "integral")
+
+
+def test_exported_names_are_pinned():
+    # what the CLI, the three builds of the pair series and the benchmark
+    # use; closed forms that only tests read live in tests/oracles.py
+    import localk3
+    assert localk3.__all__ == [
+        "BPSTable", "ConsistencyError", "CurveClass", "DeltaSeries", "HilbTable",
+        "HodgeIsometry", "LaurentPoly", "MukaiVector", "MultiSeries", "PTParams",
+        "QZSeries", "apply_isometry", "bps_extract", "conjectural_J", "delta",
+        "enumerate_effective", "exp", "gv_extract", "hilb_euler", "hilb_table",
+        "inv_delta", "ky_identity_check", "ky_pairs_euler", "log",
+        "mukai_pairing", "pow_binomial", "pt_borcherds", "pt_main", "pt_xbar",
+        "qz_invert", "qz_mul"]
+    assert all(hasattr(localk3, name) for name in localk3.__all__)
+    public = {name for name in vars(localk3) if not name.startswith("_")}
+    assert public - set(localk3.__all__) <= {"cli", "invariants", "lattice", "modular",
+                                             "ptseries", "series"}
+
+
+def test_every_mutant_edit_applies_exactly_once():
+    # tests/mutants.py runs each edit on a copy of src/; an edit whose old
+    # text no longer occurs exactly once would test nothing
+    from mutants import MUTANTS
+    for m in MUTANTS:
+        assert (SRC / "localk3" / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new and m.tests, m.name
+        for node_id in m.tests:
+            path, name = node_id.partition("[")[0].split("::")
+            assert f"def {name}(" in (ROOT / path).read_text(), node_id
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+
+
 def test_a_failing_given_test_does_not_end_the_run(tmp_path):
     # with warnings as errors, a hypothesis failure report must not stop
     # pytest with INTERNALERROR before the remaining tests run

@@ -11,10 +11,11 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
 from localk3 import ptseries
 from localk3.modular import inv_delta
 from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
-                              _kernel_coeff, _kernel_decompose, _kernel_rows, _reported,
+                              _kernel_decompose, _kernel_rows, _reported,
                               _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
 from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, pow_binomial
+from oracles import kernel_coeff
 
 # SHA-256 of the sorted "a b z coefficient" lines of pt_main(PTParams(8, 10))
 # unsigned and signed, and of pt_xbar(PTParams(6, 8)), recorded from the
@@ -225,6 +226,19 @@ def test_ky_identity_flags_exactly_the_corrupted_coefficients():
     assert deltas == {0: 1, 1: -2, 2: 1}
 
 
+def test_ky_identity_compares_rational_rows_exactly():
+    # a bump of 1/2 puts the whole q^0 row of the left side over 2, so a
+    # comparison of raw numerators would flag every coefficient of it
+    def corrupted(h, n):
+        return ky_pairs_euler(h, n) + (Fraction(1, 2) if (h, n) == (1, 1) else 0)
+
+    bad = ky_identity_check(2, 5, pairs=corrupted)
+    assert [(m, j) for m, j, _, _ in bad] == [(0, 0), (0, 1), (0, 2)]
+    assert {j: left - right for _, j, left, right in bad} == {
+        0: Fraction(1, 2), 1: -1, 2: Fraction(1, 2)}
+    assert all(type(v) is Fraction for _, _, left, right in bad for v in (left, right))
+
+
 def test_bps_extract_low_rows():
     table = bps_extract(inv_delta(6), 6)
     assert table.get(0, 0) == 1
@@ -264,8 +278,8 @@ def kernel_power(g):
 @pytest.mark.parametrize("g", range(16))
 def test_kernel_closed_form_matches_repeated_product(g):
     power = kernel_power(g)
-    assert power == LaurentPoly({j: _kernel_coeff(g, j) for j in range(-g - 1, g + 2)})
-    assert _kernel_rows(g)[g] == [_kernel_coeff(g, j) for j in range(g + 1)]
+    assert power == LaurentPoly({j: kernel_coeff(g, j) for j in range(-g - 1, g + 2)})
+    assert _kernel_rows(g)[g] == [kernel_coeff(g, j) for j in range(g + 1)]
     assert _kernel_decompose(power, _kernel_rows(g)) == {g: 1}
 
 
