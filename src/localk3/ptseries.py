@@ -1,14 +1,17 @@
 """Stable-pair generating series of a local K3 and their BPS content.
 
-Three builds of the same object, used as one another's oracles:
+_exponent builds the exact exponent S of the pair series (Toda's main
+formula), one dense z-row per effective class beta, with beta^2, div beta
+and the bound on r(r + n) formed once per class:
 
-* pt_main: exponential form
+      S_beta(+-n) = sum_r (n + 2r) J(r, beta, r + n)
 
-      PT(y, z) = prod exp((n + 2r) J(r, beta, r + n) y^beta z^n)
+over n >= 0, r >= 0 on the z^n side and n > 0, r > 0 on the z^{-n} side;
+the signed variant weights the z^{+-n} term by (-1)^(n-1).  With the
+conjectural J, S_beta(z) = sum_{k | (beta, z)} ky_pairs_euler(h(beta/k), z/k) / k
+with h(gamma) = gamma^2/2 + 1.  Three builds of the pair series check one another:
 
-  over effective beta, with n >= 0, r >= 0 on the z^n side and
-  n > 0, r > 0 on the z^{-n} side.  The signed variant weights the
-  exponent of the y^beta z^{+-n} factor by (-1)^(n-1).
+* pt_main: exponential form PT(y, z) = exp(S).
 
 * pt_borcherds: infinite-product form with integer exponents
 
@@ -18,9 +21,8 @@ Three builds of the same object, used as one another's oracles:
   over r, its exponent is the Kawai-Yoshioka count ky_pairs_euler(beta^2/2 + 1, z).
   The signed variant is prod (1 + (-1)^(n-1) y^beta z^{+-n})^{+(n+2r) chi(...)}.
 
-* pt_xbar: the series of the base change, indexed by
-  S = {r n > 0} u {r = 0, n > 0} u {r > 0, n = 0} with orientation
-  eps(r + n); it equals PT(y, z)^2.
+* pt_xbar: the series of the base change, whose exponent reads S's index
+  set as (+-r, z) with orientation eps(r + n) and N = 2J; it equals PT^2.
 
 bps_extract reads the genus decomposition of 1/Delta against the
 kernel basis (z - 2 + 1/z)^g; gv_extract recovers the same table from
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .invariants import conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
@@ -80,31 +82,6 @@ def _signed_weight(n: int) -> int:
     return -1 if n % 2 == 0 else 1
 
 
-def _index_terms(params: PTParams) -> Iterator[tuple[CurveClass, int, int, int]]:
-    """The (beta, r, n, z) terms of the exponential forms, z in the padded
-    window: z = n for r, n >= 0 not both zero, z = -n for r, n >= 1.
-
-    A term carries J(r, beta, r + n), a sum of chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1})
-    over divisors k of (r, beta, r + n), which vanishes unless
-    r(r+n) <= bound = beta^2/2 + (div beta)^2.  So only those terms are
-    yielded; a class with bound < 0 has none.
-    """
-    lo, hi = params.work_window
-    for beta in enumerate_effective(params.y_max):
-        k_max = beta.divisibility()
-        bound = beta.self_intersection() // 2 + k_max * k_max
-        if bound < 0:
-            continue
-        for n in range(1, hi + 1):
-            yield beta, 0, n, n
-        for r in range(1, math.isqrt(bound) + 1):
-            reach = bound // r - r  # largest n with r(r+n) <= bound
-            for n in range(min(reach, hi) + 1):
-                yield beta, r, n, n
-            for n in range(1, min(reach, -lo) + 1):
-                yield beta, r, n, -n
-
-
 def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
     """Cut to the reported window, where the result is exact, and check
     that every coefficient there is an integer.  _of keeps the
@@ -117,39 +94,48 @@ def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
     return out
 
 
-def _exp_sum(params: PTParams, label: str,
-             terms: Iterable[tuple[CurveClass, int, int, int, int]]) -> MultiSeries:
-    """exp of sum m J(r, beta, r + n) y^beta z^k, over (beta, k, m, r, n)
-    in terms and the padded window, then _reported: the padding strip
-    absorbs the tails of the factors cut at the window.
+def _exponent(params: PTParams, weight: Callable[[int, int], int]) -> MultiSeries:
+    """The exponent sum weight(r, z) J(r, beta, r + |z|) y^beta z^z over
+    the index set of S (see the module docstring), on the padded window.
 
-    J depends on its vector only through the Mukai square
-    beta^2 - 2r(r + n) and the divisibility gcd(a, b, r, n), so it is
-    looked up once per such key.  The exponent is summed straight into
-    integer blocks, dense over the padded window, in numerators over D,
-    the lcm of the denominators of the J values."""
-    js: dict[tuple[int, int], Fraction] = {}
-    listed = []
-    for beta, k, m, r, n in terms:
-        key = (beta.self_intersection() - 2 * r * (r + n), math.gcd(beta.a, beta.b, r, n))
-        if key not in js:
-            js[key] = conjectural_J(MukaiVector(r, beta, r + n))
-        listed.append((beta.weight, beta.a, k, m, key))
-    den = math.lcm(*(j.denominator for j in js.values()))
-    num = {key: j.numerator * (den // j.denominator) for key, j in js.items()}
+    J(r, beta, r + n) sums chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1}) / k^2
+    over k | gcd(div beta, r, n), so it vanishes unless r(r+n) <= bound =
+    beta^2/2 + (div beta)^2.  It is looked up once per key (beta^2 - 2r(r+n),
+    gcd(div beta, r, n)).  Its denominator divides (div beta)^2, so the rows
+    are summed in integer numerators over lcm(1..y_max)^2, which _of reduces."""
     lo, hi = window = params.work_window
+    den = math.lcm(*range(1, params.y_max + 1)) ** 2
+    js: dict[tuple[int, int], int] = {}
     blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(params.y_max + 1)]
-    for w, a, k, m, key in listed:
-        blocks[w].setdefault(a, (lo, [0] * (hi - lo + 1)))[1][k - lo] += m * num[key]
-    return _reported(exp(MultiSeries._of(params.y_max, window, den, blocks)), params, label)
+    for beta in enumerate_effective(params.y_max):
+        square, g = beta.self_intersection(), beta.divisibility()
+        bound = square // 2 + g * g
+        if bound < 0:
+            continue
+        row = [0] * (hi - lo + 1)
+        for r in range(math.isqrt(bound) + 1):
+            reach = bound // r - r if r else hi  # largest n with r(r+n) <= bound
+            for n in range(0 if r else 1, min(reach, hi) + 1):
+                key = (square - 2 * r * (r + n), math.gcd(g, r, n))
+                if key not in js:
+                    j = conjectural_J(MukaiVector(r, beta, r + n))
+                    js[key] = j.numerator * (den // j.denominator)
+                for z in (n, -n) if r and n else (n,):  # the window is symmetric
+                    row[z - lo] += weight(r, z) * js[key]
+        blocks[beta.weight][beta.a] = (lo, row)
+    return MultiSeries._of(params.y_max, window, den, blocks)
 
 
 def pt_main(params: PTParams) -> MultiSeries:
     """Exponential form of the stable-pair series: the exponent of
-    y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r."""
-    return _exp_sum(params, "pt_main", (
-        (beta, z, (n + 2 * r) * (_signed_weight(n) if params.signed else 1), r, n)
-        for beta, r, n, z in _index_terms(params)))
+    y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r, times
+    (-1)^(n-1) in the signed variant.  The padding strip absorbs the
+    tails of the factors cut at the window."""
+    def weight(r: int, z: int) -> int:
+        n = abs(z)
+        return (n + 2 * r) * (_signed_weight(n) if params.signed else 1)
+
+    return _reported(exp(_exponent(params, weight)), params, "pt_main")
 
 
 def pt_borcherds(params: PTParams) -> MultiSeries:
@@ -196,20 +182,19 @@ def pt_borcherds(params: PTParams) -> MultiSeries:
 def pt_xbar(params: PTParams) -> MultiSeries:
     """Series of the base change, which squares the one-copy series:
 
-        prod_{beta, (r, n) in S} exp((n + 2r) N(r, beta, n) y^beta z^n)^{eps(r+n)}
+        prod_{beta, (r, n) in I} exp((n + 2r) N(r, beta, n) y^beta z^n)^{eps(r+n)}
 
-    with S = {rn > 0} u {r = 0, n > 0} u {r > 0, n = 0}, which is the
-    shared index set read as (r, z) for z >= 0 and (-r, z) for z < 0."""
+    with I = {rn > 0} u {r = 0, n > 0} u {r > 0, n = 0}, which is the
+    index set of the exponent read as (r, z) for z >= 0 and (-r, z) for z < 0."""
     if params.signed:
         raise ValueError("the base-change series has no signed variant")
 
-    def term(beta: CurveClass, r: int, n: int) -> tuple[CurveClass, int, int, int, int]:
-        # N(r, beta, n) = 2 J(r, beta, r + n)
-        return beta, n, 2 * _eps(r + n) * (n + 2 * r), r, n
+    def weight(r: int, z: int) -> int:
+        # N(r', beta, z) = 2 J(r', beta, r' + z), with r' = r for z >= 0 and -r for z < 0
+        r = r if z >= 0 else -r
+        return 2 * _eps(r + z) * (z + 2 * r)
 
-    return _exp_sum(params, "pt_xbar", (
-        term(beta, r if z >= 0 else -r, z)
-        for beta, r, _n, z in _index_terms(params)))
+    return _reported(exp(_exponent(params, weight)), params, "pt_xbar")
 
 
 def ky_pairs_euler(h: int, n: int) -> int:

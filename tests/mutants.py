@@ -84,8 +84,29 @@ MUTANTS = (
            "if out._den != 1:", "if False:",
            (f"{P}test_reported_names_exactly_the_non_integer_coefficients",)),
     Mutant("j-key-drops-divisibility", "ptseries.py",
-           "math.gcd(beta.a, beta.b, r, n)", "math.gcd(beta.a, beta.b)",
+           "math.gcd(g, r, n)", "g",
            (f"{P}test_pairs_path_digests_at_y_8", f"{P}test_pt_main_spot_coefficients")),
+    Mutant("exponent-bound-drops-div-square", "ptseries.py",
+           "bound = square // 2 + g * g", "bound = square // 2",
+           (f"{P}test_exponent_drops_no_factor",
+            f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
+            f"{P}test_pairs_path_digests_at_y_8")),
+    # (square, gcd(g, n)) determines gcd(g, r, n), so no value changes; only
+    # the number of J lookups shows the coarser key
+    Mutant("exponent-key-gcd-drops-r", "ptseries.py",
+           "math.gcd(g, r, n)", "math.gcd(g, n)",
+           (f"{P}test_J_is_looked_up_once_per_key",)),
+    Mutant("exponent-den-not-squared", "ptseries.py",
+           "math.lcm(*range(1, params.y_max + 1)) ** 2", "math.lcm(*range(1, params.y_max + 1))",
+           (f"{P}test_exponent_drops_no_factor",
+            f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
+            f"{P}test_pairs_path_digests_at_y_8")),
+    Mutant("xbar-weight-drops-eps", "ptseries.py",
+           "2 * _eps(r + z) * (z + 2 * r)", "2 * (z + 2 * r)",
+           (f"{P}test_exponent_drops_no_factor",
+            f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
+            f"{P}test_xbar_squares_the_pair_series",
+            f"{P}test_pairs_path_digests_at_y_8")),
     Mutant("eta-power-jacobi-coefficient", "invariants.py",
            "(-1) ** k * (2 * k + 1))", "(-1) ** k * (2 * k + 1) + (k == 3))",
            (f"{I}test_hilb_matches_exponential_oracle_to_200", f"{I}test_hilb_table_2000_digest")),

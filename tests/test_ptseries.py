@@ -10,7 +10,7 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
                              enumerate_effective)
 from localk3 import ptseries
 from localk3.modular import inv_delta
-from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _index_terms,
+from localk3.ptseries import (BPSTable, ConsistencyError, PTParams,
                               _kernel_decompose, _kernel_rows, _reported,
                               _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
@@ -47,26 +47,108 @@ def test_pt_params_padding():
         PTParams(-1, 3)
 
 
-def test_index_terms_drop_no_factor():
-    # brute force a box well past the stated bound: every term with a
-    # nonzero J must be yielded, once
-    for y_max in range(7):
-        params = PTParams(y_max, y_max + 2)
-        lo, hi = params.work_window
-        listed = list(_index_terms(params))
-        terms = set(listed)
-        assert len(terms) == len(listed)
-        for beta in enumerate_effective(y_max):
-            k_max = beta.divisibility()
-            bound = beta.self_intersection() // 2 + k_max * k_max
-            for r in range(2 * math.isqrt(abs(bound)) + 3):
-                for n in range(max(hi, -lo) + 1):
-                    if not (r or n) or not conjectural_J(MukaiVector(r, beta, r + n)):
-                        continue
-                    if n <= hi:
-                        assert (beta, r, n, n) in terms
-                    if r and n and -n >= lo:
-                        assert (beta, r, n, -n) in terms
+class Captured(Exception):
+    pass
+
+
+def exponent(build, params, monkeypatch):
+    """The exponent that build (pt_main or pt_xbar) passes to exp, taken
+    before exp runs."""
+    def stop(series):
+        raise Captured(series)
+
+    monkeypatch.setattr(ptseries, "exp", stop)
+    with pytest.raises(Captured) as info:
+        build(params)
+    return info.value.args[0]
+
+
+def sign(z):
+    """(-1)^(|z| - 1), the signed variant's factor on the z^{+-n} term."""
+    return 1 if z % 2 else -1
+
+
+def xbar_weight(r, z):
+    # N(r', beta, z) = 2 J(r', beta, r' + z) with orientation eps(r' + z),
+    # on the reading r' = r for z >= 0 and r' = -r for z < 0
+    r = r if z >= 0 else -r
+    return 2 * (1 if r + z > 0 else -1) * (z + 2 * r)
+
+
+# each build, its sign flag, and its exponent's weight as the paper writes
+# it, on r >= 0 and z = +-n
+BUILDS = {
+    "unsigned": (pt_main, False, lambda r, z: abs(z) + 2 * r),
+    "signed": (pt_main, True, lambda r, z: (abs(z) + 2 * r) * sign(z)),
+    "xbar": (pt_xbar, False, xbar_weight),
+}
+
+
+def exponent_by_brute_force(params, weight):
+    """S term by term over a box well past the bound r(r + n) <= beta^2/2
+    + (div beta)^2: every nonzero J is counted, and counted once."""
+    lo, hi = window = params.work_window
+    terms = {}
+    for beta in enumerate_effective(params.y_max):
+        k_max = beta.divisibility()
+        bound = beta.self_intersection() // 2 + k_max * k_max
+        for r in range(2 * math.isqrt(abs(bound)) + 3):
+            for z in range(lo, hi + 1):
+                if r or z > 0:  # r = 0 only on the z^n side, n > 0
+                    j = conjectural_J(MukaiVector(r, beta, r + abs(z)))
+                    terms[beta, z] = terms.get((beta, z), 0) + weight(r, z) * j
+    return MultiSeries(params.y_max, window, terms)
+
+
+def test_exponent_drops_no_factor(monkeypatch):
+    for variant, (build, signed, weight) in BUILDS.items():
+        for y_max in range(7):
+            params = PTParams(y_max, y_max + 2, signed)
+            assert (exponent(build, params, monkeypatch)
+                    == exponent_by_brute_force(params, weight)), (variant, y_max)
+
+
+def multiple_cover_sum(beta, z):
+    """sum_{k | gcd(a, b, z)} (1/k) ky_pairs_euler(h(beta/k), z/k), with
+    h(gamma) = gamma^2/2 + 1 and a term with h < 0 counted as 0."""
+    total = Fraction(0)
+    for k in range(1, beta.divisibility() + 1):
+        if beta.a % k or beta.b % k or z % k:
+            continue
+        h = CurveClass(beta.a // k, beta.b // k).self_intersection() // 2 + 1
+        if h >= 0:
+            total += Fraction(ky_pairs_euler(h, z // k), k)
+    return total
+
+
+@pytest.mark.parametrize("y_max, z_max", [(8, 12), (12, 30)])
+def test_exponent_is_the_multiple_cover_sum_of_ky_counts(y_max, z_max, monkeypatch):
+    # Toda's closing conjecture, read on the exact exponent: with the
+    # conjectural J, S_beta(z) is a multiple-cover sum of Kawai-Yoshioka counts
+    unsigned = exponent(pt_main, PTParams(y_max, z_max), monkeypatch)
+    signed = exponent(pt_main, PTParams(y_max, z_max, True), monkeypatch)
+    xbar = exponent(pt_xbar, PTParams(y_max, z_max), monkeypatch)
+    lo, hi = PTParams(y_max, z_max).work_window
+    mismatches = []
+    for beta in enumerate_effective(y_max):
+        for z in range(lo, hi + 1):
+            s = multiple_cover_sum(beta, z)
+            got = (unsigned.coeff(beta, z), signed.coeff(beta, z), xbar.coeff(beta, z))
+            if got != (s, sign(z) * s, 2 * s):
+                mismatches.append((beta, z, s, got))
+    assert mismatches == []
+
+
+def test_J_is_looked_up_once_per_key(monkeypatch):
+    keys = []
+
+    def counted(v):
+        keys.append((v.mukai_square(), v.divisibility()))
+        return conjectural_J(v)
+
+    monkeypatch.setattr(ptseries, "conjectural_J", counted)
+    pt_main(PTParams(10, 12))
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_pt_main_spot_coefficients():
