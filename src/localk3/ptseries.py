@@ -24,9 +24,10 @@ with h(gamma) = gamma^2/2 + 1.  Three builds of the pair series check one anothe
 * pt_xbar: the series of the base change, whose exponent reads S's index
   set as (+-r, z) with orientation eps(r + n) and N = 2J; it equals PT^2.
 
-bps_extract reads the genus decomposition of 1/Delta against the
-kernel basis (z - 2 + 1/z)^g; gv_extract recovers the same table from
-a PT series by stripping multiple covers classwise.
+One genus reader, _genus_table, decomposes one palindromic row per genus
+h in the basis (z - 2 + 1/z)^g.  bps_extract hands it the rows of 1/Delta;
+gv_extract strips the multiple covers from log(PT) by Moebius inversion on
+integer rows and hands it one checked kernel row per beta^2.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from typing import Callable
 from .invariants import conjectural_J, hilb_euler
 from .lattice import CurveClass, MukaiVector, enumerate_effective
 from .modular import DeltaSeries, delta
-from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, exp,
-                     log, pow_binomial, qz_invert)
+from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _trim,
+                     exp, log, pow_binomial, qz_invert)
 
 
 @dataclass(frozen=True)
@@ -300,107 +301,94 @@ def _kernel_decompose(p: LaurentPoly, kernel: list[list[int]]) -> dict[int, Frac
     return out
 
 
+def _genus_table(rows: dict[int, LaurentPoly]) -> BPSTable:
+    """The BPS table whose genus-h row rows[h], a palindromic Laurent
+    polynomial, is sum_g (-1)^g r_{g,h} (z - 2 + 1/z)^g, solved
+    triangularly against one kernel table."""
+    kernel = _kernel_rows(max((len(p._row) // 2 for p in rows.values()), default=0))
+    return BPSTable({(g, h): c if g % 2 == 0 else -c for h, p in rows.items()
+                     for g, c in _kernel_decompose(p, kernel).items()}, frozenset(rows))
+
+
 def bps_extract(source: QZSeries, q_max: int) -> BPSTable:
-    """BPS table of a series in the 1/Delta family: the q^{h-1} row
-    equals sum_g (-1)^g r_{g,h} (z - 2 + 1/z)^g, solved triangularly."""
+    """BPS table of a series in the 1/Delta family, whose q^{h-1} row is
+    the genus-h row of _genus_table."""
     if source.q_min < -1:
         raise ValueError("source must start at q^{-1} or later")
     if q_max > source.q_max:
         raise ValueError("q_max exceeds the exact range of the source")
-    rows = [source.row(m) for m in range(source.q_min, q_max + 1)]
-    kernel = _kernel_rows(max((len(p._row) // 2 for p in rows), default=0))
-    entries: dict = {}
-    hs = set()
-    for m, p in enumerate(rows, source.q_min):
-        h = m + 1
-        hs.add(h)
-        for g, c in _kernel_decompose(p, kernel).items():
-            entries[(g, h)] = c if g % 2 == 0 else -c
-    return BPSTable(entries, frozenset(hs))
+    return _genus_table({m + 1: source.row(m) for m in range(source.q_min, q_max + 1)})
 
 
-def _strip_covers(rows: dict, beta: CurveClass, f: dict,
-                  z_lo: int, z_hi: int) -> dict[int, Fraction]:
-    """f_beta = (log PT row at beta) - sum_{m >= 2, m | beta} (1/m) f_{beta/m}(z^m)."""
-    fb = dict(rows.get(beta, {}))
-    for mlt in range(2, beta.divisibility() + 1):
-        if beta.divisibility() % mlt:
-            continue
-        sub = CurveClass(beta.a // mlt, beta.b // mlt)
-        for j, c in f[sub].items():
-            jj = j * mlt
-            if z_lo <= jj <= z_hi:
-                fb[jj] = fb.get(jj, Fraction(0)) - Fraction(c, 1) / mlt
-    return {j: c for j, c in fb.items() if c}
+def _mobius_strip(lseries: MultiSeries, signed: bool) -> dict[CurveClass, LaurentPoly]:
+    """The primitive parts f_beta of a logarithm L, one per effective class:
+    the multiple-cover rule L_beta(z) = sum_{m | div beta} (1/m) f_{beta/m}(z^m)
+    inverts by Moebius to f_beta(z) = sum_{m | div beta} (mu(m)/m) L_{beta/m}(z^m),
+    summed in integer rows over den(L) lcm(1..y_max) and cut to the window
+    of L, which holds z^0, so a term cut there stays cut under z -> z^m.
+    signed reads L negated with its odd z-rows flipped back, at L's own z^j."""
+    y, (lo, hi), blocks = lseries.y_max, lseries.z_window, lseries._blocks
+    lc, flip = math.lcm(*range(1, y + 1)), -1 if signed else 1
+    mu = [0, 1] + [0] * y  # sum_{d | m} mu(d) is 1 at m = 1 and 0 above
+    for d in range(1, y + 1):
+        for k in range(2 * d, y + 1, d):
+            mu[k] -= mu[d]
+    out = {}
+    for beta in enumerate_effective(y):
+        g, row = beta.divisibility(), [0] * (hi - lo + 1)
+        for m in range(1, g + 1):
+            if g % m or not mu[m]:
+                continue
+            c = mu[m] * (lc // m)
+            slo, srow = blocks[beta.weight // m].get(beta.a // m, (0, []))
+            for i, v in enumerate(srow, slo):
+                if v and lo <= m * i <= hi:
+                    row[m * i - lo] += c * (v if i % 2 else flip * v)
+        out[beta] = LaurentPoly._of(lseries._den * lc, *_trim(lo, row))
+    return out
 
 
 def gv_extract(pt: MultiSeries, signed: bool = False) -> BPSTable:
     """Recover the genus table from a stable-pair series.
 
-    Per class, in increasing weight: strip multiple covers from the
-    logarithm, multiply by the kernel z - 2 + 1/z, and decompose the
-    result in the basis (z - 2 + 1/z)^g.  The row of a class beta must
-    be supported in |z-exponent| <= beta^2/2 + 1 and may depend on beta
-    only through beta^2; violations raise ConsistencyError.
-
-    The signed series with the same table is the z -> -z inverse of
-    the unsigned one, so the signed case negates the logarithm and
-    flips the sign of odd z-rows before running the same machinery.
-
-    Coefficients of the logarithm above
+    _mobius_strip takes the multiple covers out of log(pt); the signed
+    series, the z -> -z inverse of the unsigned one with the same table,
+    goes through its signed flip.  Each primitive part times z - 2 + 1/z must
+    be a palindromic row in |z-exponent| <= h = beta^2/2 + 1 that depends
+    on beta only through beta^2, else ConsistencyError; one row per h
+    goes to _genus_table.  Coefficients of the logarithm above
     z_hi - (y_max - 1) * (negative depth of pt) can be polluted by the
     window truncation and are not trusted."""
-    lseries = log(pt)
-    rows: dict[CurveClass, dict[int, Fraction]] = {}
-    for cls, k, v in lseries.terms():
-        if signed:
-            v = v if k % 2 else -v
-        rows.setdefault(cls, {})[k] = v
+    parts = _mobius_strip(log(pt), signed)
     floor = pt.support_z_min()
     depth = max(0, -floor) if floor is not None else 0
     trust_hi = pt.z_hi - max(0, pt.y_max - 1) * depth
     w = min(trust_hi, -pt.z_lo) - 1
     if w < 0:
         raise ValueError("z-window too small to determine any genus entry")
-    entries: dict = {}
-    hs = set()
-    reference: dict[int, tuple[CurveClass, dict[int, Fraction]]] = {}
-    f: dict[CurveClass, dict[int, Fraction]] = {}
-    classes = enumerate_effective(pt.y_max)
-    kernel = _kernel_rows(max((b.self_intersection() // 2 + 1 for b in classes), default=0))
-    for beta in classes:
-        fb = _strip_covers(rows, beta, f, pt.z_lo, pt.z_hi)
-        f[beta] = fb
-        row = LaurentPoly(fb) * KY_KERNEL
+    rows: dict[int, tuple[CurveClass, LaurentPoly]] = {}
+    for beta, f in parts.items():
+        p = f * KY_KERNEL
         h = beta.self_intersection() // 2 + 1
         if h > w:
             raise ValueError(f"z-window too small for class {beta} (needs {h}, has {w})")
         lim = max(h, -1)
-        items = row.items()
-        offenders = [(beta, j, c) for j, c in items if lim < abs(j) <= w]
+        offenders = [(beta, j, c) for j, c in p.items() if lim < abs(j) <= w]
         if offenders:
             raise ConsistencyError(
                 f"class {beta} has support beyond |z^{lim}|", offenders)
         if h < 0:
             continue
-        restricted = LaurentPoly({j: c for j, c in items if abs(j) <= h})
-        try:
-            decomposition = _kernel_decompose(restricted, kernel)
-        except ValueError as err:
-            raise ConsistencyError(f"class {beta}: {err}",
-                                   [(beta, j, c) for j, c in restricted.items()])
-        rvec = {g: (c if g % 2 == 0 else -c) for g, c in decomposition.items()}
-        if h in reference:
-            prev_beta, prev = reference[h]
-            if prev != rvec:
-                raise ConsistencyError(
-                    f"classes {prev_beta} and {beta} share beta^2 = {2 * h - 2} "
-                    "but extract different tables",
-                    [(beta, g, rvec.get(g), prev.get(g))
-                     for g in set(prev) | set(rvec) if prev.get(g) != rvec.get(g)])
-        else:
-            reference[h] = (beta, rvec)
-            hs.add(h)
-            for g, val in rvec.items():
-                entries[(g, h)] = val
-    return BPSTable(entries, frozenset(hs))
+        start = max(p._lo, -h)
+        p = LaurentPoly._of(p._den, *_trim(start, p._row[start - p._lo:max(h + 1 - p._lo, 0)]))
+        if not p.is_palindromic():
+            raise ConsistencyError(f"class {beta}: polynomial is not palindromic in z",
+                                   [(beta, j, c) for j, c in p.items()])
+        first, prev = rows.setdefault(h, (beta, p))
+        if prev != p:
+            raise ConsistencyError(
+                f"classes {first} and {beta} share beta^2 = {2 * h - 2} "
+                "but extract different tables",
+                [(beta, j, p.coeff(j), prev.coeff(j))
+                 for j in range(-h, h + 1) if p.coeff(j) != prev.coeff(j)])
+    return _genus_table({h: p for h, (_, p) in rows.items()})

@@ -107,6 +107,21 @@ MUTANTS = (
             f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
             f"{P}test_xbar_squares_the_pair_series",
             f"{P}test_pairs_path_digests_at_y_8")),
+    Mutant("mobius-sign-dropped", "ptseries.py",
+           "c = mu[m] * (lc // m)", "c = abs(mu[m]) * (lc // m)",
+           (f"{P}test_mobius_strip_matches_the_recursive_strip",
+            f"{P}test_gv_extract_matches_bps_table",
+            f"{P}test_gv_extract_unsigned_gives_same_table")),
+    Mutant("mobius-drops-one-over-m", "ptseries.py",
+           "c = mu[m] * (lc // m)", "c = mu[m] * lc",
+           (f"{P}test_mobius_strip_matches_the_recursive_strip",
+            f"{P}test_gv_extract_matches_bps_table",
+            f"{P}test_gv_extract_unsigned_gives_same_table")),
+    Mutant("signed-flip-on-wrong-parity", "ptseries.py",
+           "(v if i % 2 else flip * v)", "(v if not i % 2 else flip * v)",
+           (f"{P}test_mobius_strip_matches_the_recursive_strip[True-6-30]",
+            f"{P}test_gv_extract_matches_bps_table",
+            f"{P}test_gv_extract_flags_a_non_palindromic_row")),
     Mutant("eta-power-jacobi-coefficient", "invariants.py",
            "(-1) ** k * (2 * k + 1))", "(-1) ** k * (2 * k + 1) + (k == 3))",
            (f"{I}test_hilb_matches_exponential_oracle_to_200", f"{I}test_hilb_table_2000_digest")),

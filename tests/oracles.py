@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 from localk3.invariants import conjectural_J
-from localk3.lattice import CurveClass, MukaiVector
+from localk3.lattice import CurveClass, MukaiVector, enumerate_effective
 
 
 def N_from_J(r: int, beta: CurveClass, n: int) -> Fraction:
@@ -33,3 +33,26 @@ def J_closed_r0r(r: int) -> Fraction:
 def kernel_coeff(g: int, j: int) -> int:
     """Coefficient of z^j in (z - 2 + 1/z)^g = (z^(1/2) - z^(-1/2))^(2g)."""
     return (-1) ** (g - j) * math.comb(2 * g, g - j) if abs(j) <= g else 0
+
+
+def strip_covers_by_recursion(lseries, signed: bool) -> dict:
+    """{beta: {z-exponent: Fraction}}: the primitive parts of a logarithm,
+    f_beta = L_beta - sum_{m >= 2, m | div beta} (1/m) f_{beta/m}(z^m),
+    by recursion over classes in increasing weight, on dicts of Fraction,
+    cut to the window of L.  signed negates L and flips its odd z-rows
+    first, as gv_extract does."""
+    rows: dict = {}
+    for cls, k, v in lseries.terms():
+        rows.setdefault(cls, {})[k] = v if k % 2 or not signed else -v
+    f: dict = {}
+    for beta in enumerate_effective(lseries.y_max):
+        fb = dict(rows.get(beta, {}))
+        g = beta.divisibility()
+        for m in range(2, g + 1):
+            if g % m:
+                continue
+            for j, c in f[CurveClass(beta.a // m, beta.b // m)].items():
+                if lseries.z_lo <= j * m <= lseries.z_hi:
+                    fb[j * m] = fb.get(j * m, Fraction(0)) - c / m
+        f[beta] = {j: c for j, c in fb.items() if c}
+    return f

@@ -14,8 +14,8 @@ from localk3.ptseries import (BPSTable, ConsistencyError, PTParams,
                               _kernel_decompose, _kernel_rows, _reported,
                               _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
-from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, pow_binomial
-from oracles import kernel_coeff
+from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, log, pow_binomial
+from oracles import kernel_coeff, strip_covers_by_recursion
 
 # SHA-256 of the sorted "a b z coefficient" lines of pt_main(PTParams(8, 10))
 # unsigned and signed, and of pt_xbar(PTParams(6, 8)), recorded from the
@@ -444,10 +444,40 @@ def test_gv_extract_flags_support_corruption():
 
 def test_gv_extract_flags_square_dependence_breach():
     # a symmetric bump passes the row checks but disagrees with the
-    # other classes of the same square
+    # other classes of the same square; the signed flip turns the +1 at
+    # z^0 into -1, so the kernel row of (1,1) moves by -(z - 2 + 1/z)
     bad = corrupt(signed_pt(), CurveClass(1, 1), 0, Fraction(1))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError,
+                       match="^classes 0,1 and 1,1 share beta\\^2 = 0 but extract different tables$"
+                       ) as info:
         gv_extract(bad, signed=True)
+    assert info.value.offenders == [(CurveClass(1, 1), -1, 1, 2), (CurveClass(1, 1), 0, 22, 20),
+                                    (CurveClass(1, 1), 1, 1, 2)]
+
+
+def test_gv_extract_flags_a_non_palindromic_row():
+    # a bump at z^1 in (1,2), h = 2, adds z^2 - 2z + 1 to its kernel row
+    # 3z^2 + 42z + 234 + 42/z + 3/z^2: inside the support, but lopsided
+    bad = corrupt(signed_pt(), CurveClass(1, 2), 1, Fraction(1))
+    with pytest.raises(ConsistencyError,
+                       match="^class 1,2: polynomial is not palindromic in z$") as info:
+        gv_extract(bad, signed=True)
+    assert info.value.offenders == [(CurveClass(1, 2), j, c) for j, c in
+                                    ((-2, 3), (-1, 42), (0, 235), (1, 40), (2, 4))]
+
+
+@pytest.mark.parametrize("y_max, z_max", [(6, 30), (8, 70)])
+@pytest.mark.parametrize("signed", [False, True])
+def test_mobius_strip_matches_the_recursive_strip(y_max, z_max, signed):
+    lseries = log(pt_main(PTParams(y_max, z_max, signed=signed)))
+    stripped = ptseries._mobius_strip(lseries, signed)
+    expected = strip_covers_by_recursion(lseries, signed)
+    assert list(stripped) == enumerate_effective(y_max)
+    assert stripped == {beta: LaurentPoly(row) for beta, row in expected.items()}
+    # covers were really stripped: an imprimitive class differs from its row of L
+    assert any(stripped[b] != LaurentPoly({k: v if k % 2 or not signed else -v
+                                           for cls, k, v in lseries.terms() if cls == b})
+               for b in stripped if b.divisibility() > 1)
 
 
 def test_bps_table_overlap_comparison():
