@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from .invariants import _j_by_key, conjectural_J, hilb_table
 from .lattice import (CurveClass, HodgeIsometry, MukaiVector, ZERO_CLASS,
                       POLARIZATION, SECTION, apply_isometry)
-from .ptseries import (ConsistencyError, PTParams, bps_extract, gv_extract,
+from .ptseries import (ConsistencyError, PTParams, _gv_need, bps_extract, gv_extract,
                        ky_identity_check, pt_main, pt_xbar)
 from .modular import inv_delta
 
@@ -277,6 +277,8 @@ def _validate(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
             parser.error(f"{flag} must be >= {low}")
     if cfg.subcommand == "bps" and (cfg.y_max is None) != (cfg.z_max is None):
         parser.error("bps needs --y-max and --z-max together")
+    if cfg.subcommand == "bps" and cfg.y_max is not None and cfg.z_max < _gv_need(cfg.y_max):
+        parser.error(f"bps --y-max {cfg.y_max} needs --z-max >= {_gv_need(cfg.y_max)}")
     if cfg.vector is not None:
         try:
             v = MukaiVector.parse(cfg.vector)

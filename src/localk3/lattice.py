@@ -198,9 +198,6 @@ class HodgeIsometry:
             m = _matmul(m, part.matrix)
         return cls(m)
 
-    def __call__(self, v: MukaiVector) -> MukaiVector:
-        return apply_isometry(self, v)
-
 
 def apply_isometry(g: HodgeIsometry, v: MukaiVector) -> MukaiVector:
     """Image g(v) = M v."""

@@ -79,8 +79,8 @@ def delta(q_max: int) -> DeltaSeries:
         if any(quot[-2:]):
             raise ConsistencyError(f"q^{k} row of Theta is not divisible by z - 2 + 1/z")
         quotients[k] = LaurentPoly(dict(enumerate(quot[:-2], lo + 1)))
-    eta18 = QZSeries.from_q_poly(dict(enumerate(_eta_power(18, big_n))), big_n)
-    prod = qz_mul(QZSeries(0, big_n, quotients), eta18)
+    eta18 = {m: LaurentPoly({0: v}) for m, v in enumerate(_eta_power(18, big_n))}
+    prod = qz_mul(QZSeries(0, big_n, quotients), QZSeries(0, big_n, eta18))
     return DeltaSeries(1, q_max, {m + 1: p for m, p in prod.rows()})
 
 

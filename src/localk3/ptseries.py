@@ -28,6 +28,11 @@ One genus reader, _genus_table, decomposes one palindromic row per genus
 h in the basis (z - 2 + 1/z)^g.  bps_extract hands it the rows of 1/Delta;
 gv_extract strips the multiple covers from log(PT) by Moebius inversion on
 integer rows and hands it one checked kernel row per beta^2.
+
+Every z-window reads _depth(w) = max(0, beta^2/2) over weights <= w: no
+class-beta term of S, exp(S) or log(exp(S)) lies below z^-_depth(weight beta),
+so a term cut at a window top reaches beta only beside parts no lower than
+z^-_depth(weight beta - 1).  This sets z_pad, gv_extract's tops and _gv_need.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSe
 class PTParams:
     """Truncation parameters for the stable-pair series.
 
-    Internally the z-window is padded by the largest accumulated
-    negative shift max(beta^2 / 2) over retained classes, so that the
-    reported window [-z_max, z_max] is exact.
+    The builds pad the z-window by z_pad = _depth(y_max - 1), so that the
+    reported window [-z_max, z_max] is exact; a term cut off below the
+    padded bottom lies in a class of weight y_max, below -z_max.
     """
 
     y_max: int
@@ -63,13 +68,23 @@ class PTParams:
 
     @property
     def z_pad(self) -> int:
-        squares = [b.self_intersection() // 2 for b in enumerate_effective(self.y_max)]
-        return max([0] + squares)
+        return _depth(self.y_max - 1)
 
     @property
     def work_window(self) -> tuple[int, int]:
         pad = self.z_pad
         return (-self.z_max - pad, self.z_max + pad)
+
+
+def _depth(w: int) -> int:
+    """max(0, beta^2/2) over weights <= w: (a, w - a) has beta^2/2 = a(w - 2a)."""
+    return max((a * (w - 2 * a) for a in range(w + 1)), default=0)
+
+
+def _gv_need(y_max: int) -> int:
+    """The least z_max at which gv_extract decides every class: the largest
+    h = _depth(y_max) + 1 needs its top z_max - _depth(y_max - 1) - 1 >= h."""
+    return _depth(y_max) + _depth(y_max - 1) + 2 if y_max else 0
 
 
 def _eps(m: int) -> int:
@@ -356,20 +371,14 @@ def gv_extract(pt: MultiSeries, signed: bool = False) -> BPSTable:
     goes through its signed flip.  Each primitive part times z - 2 + 1/z must
     be a palindromic row in |z-exponent| <= h = beta^2/2 + 1 that depends
     on beta only through beta^2, else ConsistencyError; one row per h
-    goes to _genus_table.  Coefficients of the logarithm above
-    z_hi - (y_max - 1) * (negative depth of pt) can be polluted by the
-    window truncation and are not trusted."""
-    parts = _mobius_strip(log(pt), signed)
-    floor = pt.support_z_min()
-    depth = max(0, -floor) if floor is not None else 0
-    trust_hi = pt.z_hi - max(0, pt.y_max - 1) * depth
-    w = min(trust_hi, -pt.z_lo) - 1
-    if w < 0:
-        raise ValueError("z-window too small to determine any genus entry")
+    goes to _genus_table.  Class beta of the logarithm is exact up to
+    z_hi - _depth(weight beta - 1), so its kernel row is trusted in |z| <= w =
+    min(z_hi - _depth(weight beta - 1), -z_lo) - 1; h > w is a ValueError."""
     rows: dict[int, tuple[CurveClass, LaurentPoly]] = {}
-    for beta, f in parts.items():
+    for beta, f in _mobius_strip(log(pt), signed).items():
         p = f * KY_KERNEL
         h = beta.self_intersection() // 2 + 1
+        w = min(pt.z_hi - _depth(beta.weight - 1), -pt.z_lo) - 1
         if h > w:
             raise ValueError(f"z-window too small for class {beta} (needs {h}, has {w})")
         lim = max(h, -1)

@@ -237,9 +237,6 @@ class MultiSeries:
                     if v:
                         yield cls, k, Fraction(v, den)
 
-    def support_z_min(self) -> int | None:
-        return min((lo for block in self._blocks for lo, _ in block.values()), default=None)
-
     def is_zero(self) -> bool:
         return not any(self._blocks)
 
@@ -418,13 +415,6 @@ class QZSeries:
                 if not p.is_zero():
                     r[m] = p
         self._rows = r
-
-    @classmethod
-    def from_q_poly(cls, coeffs: Mapping[int, Coeff], q_max: int) -> QZSeries:
-        """A z-free q-polynomial, exact to any order up to q_max."""
-        rows = {m: LaurentPoly({0: v}) for m, v in coeffs.items()}
-        lo = min(coeffs) if coeffs else 0
-        return cls(min(lo, 0), q_max, rows)
 
     def row(self, m: int) -> LaurentPoly:
         return self._rows.get(m, LaurentPoly())

@@ -107,6 +107,16 @@ MUTANTS = (
             f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
             f"{P}test_xbar_squares_the_pair_series",
             f"{P}test_pairs_path_digests_at_y_8")),
+    Mutant("pad-one-weight-short", "ptseries.py",
+           "_depth(self.y_max - 1)", "_depth(self.y_max - 2)",
+           (f"{P}test_pt_params_padding",
+            f"{P}test_pairs_path_digests_at_y_8",
+            f"{P}test_pairs_path_digests_at_y_12")),
+    Mutant("trust-one-weight-generous", "ptseries.py",
+           "_depth(beta.weight - 1)", "_depth(beta.weight - 2)",
+           (f"{P}test_gv_extract_at_the_least_window_for_y_12",
+            f"{P}test_gv_table_does_not_change_as_z_max_grows",
+            "tests/test_cli.py::test_stdout_matches_recorded_digest")),
     Mutant("mobius-sign-dropped", "ptseries.py",
            "c = mu[m] * (lc // m)", "c = abs(mu[m]) * (lc // m)",
            (f"{P}test_mobius_strip_matches_the_recursive_strip",

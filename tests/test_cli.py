@@ -33,9 +33,12 @@ STDOUT_SHA256 = [
      "c7d72980f69b40b2c372a5a44bbad09c52e47f090764723bcf7f48ff88c57f4a"),
     ("bps --q-max 50 --y-max 6 --z-max 30",
      "c52f8b071e088e9302f06c4ff12a86e1a75f8f0687c0a66f63fca2754fc1f6d2"),
-    # the largest KKV comparison gv_extract's trust bound admits at y_max = 8
+    # a KKV comparison at y_max = 8 on a window far above its need (16)
     ("bps --q-max 20 --y-max 8 --z-max 70",
      "23ed8066a6f249c729ad189fa26250ac13eb2071d7657e6751a18282774fb339"),
+    # every class of weight <= 12 decided at the least window that decides them
+    ("bps --q-max 20 --y-max 12 --z-max 35",
+     "089d2707e83ac07002dc1f00c2cd609a67905d3b4ffe9bafea40fddbf04794f2"),
     # these two pin the config echo of the subcommands that take --vector
     ("jinv --vector 0;2,4;-2",
      "c518d7a4b7459229dbae48a1d31c5c40b716600c8935454b288fd71f1cf5c7b6"),
@@ -159,6 +162,10 @@ USAGE_ERRORS = [
     # several flags out of range: the first in --max, --y-max, --z-max,
     # --q-max, --z-window, --samples order is reported
     (["bps", "--q-max", "-1", "--y-max", "-1", "--z-max", "3"], "--y-max must be >= 0"),
+    # structurally valid flags, but the window cannot decide every class
+    (["bps", "--q-max", "2", "--y-max", "3", "--z-max", "1"], "bps --y-max 3 needs --z-max >= 3"),
+    (["bps", "--q-max", "2", "--y-max", "12", "--z-max", "34"],
+     "bps --y-max 12 needs --z-max >= 35"),
 ]
 
 
@@ -199,8 +206,3 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     assert json.loads(out)["mismatches"] == [
         {"q": 0, "z": 0, "left": "1/1", "right": "2/1"}]
 
-
-def test_gv_window_error_is_usage_error(capsys):
-    # structurally valid flags, but the window cannot support extraction
-    code = cli.main(["bps", "--q-max", "2", "--y-max", "3", "--z-max", "1"])
-    assert code == 2

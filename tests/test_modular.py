@@ -26,8 +26,9 @@ def delta_by_factors(q_max):
     big_n = q_max - 1
     prod = QZSeries(0, big_n, {0: LaurentPoly({0: 1})})
     for n in range(1, big_n + 1):
-        f1 = {n * j: (-1) ** j * math.comb(20, j) for j in range(min(big_n // n, 20) + 1)}
-        prod = qz_mul(prod, QZSeries.from_q_poly(f1, big_n))
+        f1 = {n * j: LaurentPoly({0: (-1) ** j * math.comb(20, j)})
+              for j in range(min(big_n // n, 20) + 1)}
+        prod = qz_mul(prod, QZSeries(0, big_n, f1))
         for zsign in (1, -1):
             rows = {0: LaurentPoly({0: 1}), n: LaurentPoly({zsign: -2})}
             if 2 * n <= big_n:

@@ -10,7 +10,7 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
                              enumerate_effective)
 from localk3 import ptseries
 from localk3.modular import inv_delta
-from localk3.ptseries import (BPSTable, ConsistencyError, PTParams,
+from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _depth,
                               _kernel_decompose, _kernel_rows, _reported,
                               _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
@@ -40,11 +40,22 @@ def corrupt(series, klass, z_exp, delta):
 
 
 def test_pt_params_padding():
-    assert PTParams(3, 6).z_pad == 1   # (1,2) squares to 2
-    assert PTParams(4, 6).z_pad == 2   # (1,3) squares to 4
+    # the pad is _depth(y_max - 1): classes of weight <= y_max - 1
+    assert PTParams(3, 6).z_pad == 0   # weight 2 squares to at most 0
+    assert PTParams(4, 6).z_pad == 1   # (1,2) squares to 2
     assert PTParams(0, 3).z_pad == 0
+    assert PTParams(16, 18).z_pad == 28  # (4,11) squares to 56
     with pytest.raises(ValueError):
         PTParams(-1, 3)
+
+
+def test_depth_is_the_largest_half_square():
+    for w in range(31):
+        brute = max([0] + [b.self_intersection() // 2 for b in enumerate_effective(w)])
+        assert _depth(w) == brute, w
+    assert _depth(-1) == 0
+    # superadditive, which is what lets one weight bound a product's parts
+    assert all(_depth(a) + _depth(b) <= _depth(a + b) for a in range(31) for b in range(31))
 
 
 class Captured(Exception):
@@ -181,7 +192,7 @@ def borcherds_by_mul(params):
     for beta in enumerate_effective(params.y_max):
         for z in range(lo, hi + 1):
             n = abs(z)
-            # a nonzero chi needs r^2 <= beta^2/2 + 1 <= z_pad + 1 <= hi + 1
+            # a nonzero chi needs r^2 <= beta^2/2 + 1 <= _depth(y_max) + 1, so r <= hi + 1
             for r in range(0 if z >= 0 else 1, hi + 2):
                 e = (n + 2 * r) * hilb_euler(beta.self_intersection() // 2 + 1 - r * (n + r))
                 if not e:
@@ -420,10 +431,10 @@ def test_gv_extract_needs_room():
 
 
 def test_reported_names_exactly_the_non_integer_coefficients():
-    params = PTParams(3, 4)
+    params = PTParams(4, 4)  # padded by 1
     lo, hi = params.work_window
     pt = pt_main(params)
-    wide = MultiSeries(3, (lo, hi), {(cls, k): v for cls, k, v in pt.terms()})
+    wide = MultiSeries(4, (lo, hi), {(cls, k): v for cls, k, v in pt.terms()})
     # an integer change, or a half in the padding strip, is not reported
     assert _reported(corrupt(wide, SECTION, hi, Fraction(1, 2)), params, "x") == pt
     assert _reported(corrupt(wide, FIBER, 0, Fraction(-3)), params, "x") != pt
@@ -464,6 +475,51 @@ def test_gv_extract_flags_a_non_palindromic_row():
         gv_extract(bad, signed=True)
     assert info.value.offenders == [(CurveClass(1, 2), j, c) for j, c in
                                     ((-2, 3), (-1, 42), (0, 235), (1, 40), (2, 4))]
+
+
+def trusted_top(pt, beta):
+    """The top of the range |z| <= top in which gv_extract trusts class beta
+    of log(pt)."""
+    return pt.z_hi - _depth(beta.weight - 1)
+
+
+@given(st.integers(0, 7), st.integers(0, 20), st.booleans())
+def test_log_is_exact_up_to_each_class_top(y_max, z_max, signed):
+    pt = pt_main(PTParams(y_max, z_max, signed))
+    # the reference window holds every term of pt and trusts all of [-z_max, z_max]
+    wide = pt_main(PTParams(y_max, z_max + 2 * _depth(y_max) + 10, signed))
+    got, reference = log(pt), log(wide)
+    for beta in enumerate_effective(y_max):
+        top = trusted_top(pt, beta)
+        assert ([got.coeff(beta, k) for k in range(-top, top + 1)]
+                == [reference.coeff(beta, k) for k in range(-top, top + 1)]), (beta, top)
+
+
+def test_log_top_is_tight():
+    # one coefficient past its top, a class of pt_main(8, 16) is polluted
+    pt = pt_main(PTParams(8, 16, True))
+    got, reference = log(pt), log(pt_main(PTParams(8, 16 + 2 * _depth(8) + 10, True)))
+    past = {beta: trusted_top(pt, beta) + 1 for beta in enumerate_effective(8)}
+    assert any(got.coeff(beta, k) != reference.coeff(beta, k) for beta, k in past.items())
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_gv_extract_at_the_least_window_for_y_12(signed):
+    # _gv_need(12) = 35: every class is decided at z_max = 35, and class 3,9
+    # (h = 19, top 34 - _depth(11) = 19) is refused one below
+    recovered = gv_extract(pt_main(PTParams(12, 35, signed)), signed)
+    # no class of weight <= 12 has beta^2/2 = 11, 13 or 17
+    assert recovered.computed_h == frozenset(range(20)) - {12, 14, 18}
+    assert recovered.mismatches_on_overlap(bps_extract(inv_delta(19), 19)) == []
+    with pytest.raises(ValueError,
+                       match="^z-window too small for class 3,9 \\(needs 19, has 18\\)$"):
+        gv_extract(pt_main(PTParams(12, 34, signed)), signed)
+
+
+def test_gv_table_does_not_change_as_z_max_grows():
+    tables = [gv_extract(pt_main(PTParams(8, z_max, True)), True) for z_max in (16, 30, 70)]
+    assert tables[0].computed_h == frozenset(range(10)) - {8}
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize("y_max, z_max", [(6, 30), (8, 70)])

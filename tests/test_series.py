@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from localk3.lattice import CurveClass, ZERO_CLASS
 from localk3.modular import delta
-from localk3.ptseries import PTParams, pt_main
+from localk3.ptseries import PTParams, _depth, pt_main
 from localk3 import ptseries, series
 from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _Packs,
                             _block_product, _pack, _row_sum, _trim, exp, log, pow_binomial,
@@ -286,12 +286,12 @@ def test_log_recurrence_matches_power_sum(d, y_max, lo, span):
 @pytest.mark.parametrize("y_max,z_max", [(3, 8), (6, 30), (8, 70)])
 def test_log_of_pair_series_matches_power_sum_where_trusted(y_max, z_max, signed):
     # both logs cut every intermediate product to the window, so they may
-    # differ only where truncation pollutes, above the bound gv_extract trusts
+    # differ only where truncation pollutes, above the top gv_extract trusts
+    # in each class, z_hi - _depth(weight - 1)
     pt = pt_main(PTParams(y_max, z_max, signed=signed))
-    depth = max(0, -pt.support_z_min())
-    top = pt.z_hi - (y_max - 1) * depth
     fast, slow = log(pt), log_by_powers(pt)
-    keys = {(cls, k) for s in (fast, slow) for cls, k, _ in s.terms() if k <= top}
+    keys = {(cls, k) for s in (fast, slow) for cls, k, _ in s.terms()
+            if k <= pt.z_hi - _depth(cls.weight - 1)}
     assert keys
     assert all(fast.coeff(cls, k) == slow.coeff(cls, k) for cls, k in keys)
 
