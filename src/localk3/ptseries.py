@@ -17,9 +17,10 @@ with h(gamma) = gamma^2/2 + 1.  Three builds of the pair series check one anothe
 
       prod (1 - y^beta z^{+-n})^{-(n+2r) chi(Hilb^{beta^2/2 - r(n+r) + 1})}
 
-  over the same index range, built as one factor per (beta, z): summed
-  over r, its exponent is the Kawai-Yoshioka count ky_pairs_euler(beta^2/2 + 1, z).
-  The signed variant is prod (1 + (-1)^(n-1) y^beta z^{+-n})^{+(n+2r) chi(...)}.
+  over the same index range.  Summed over r, the exponent of (beta, z) is
+  the Kawai-Yoshioka count ky_pairs_euler(h, z), h = beta^2/2 + 1, so each
+  class applies one factor F_h(y^beta, z), built once per h.  The signed
+  variant is prod (1 + (-1)^(n-1) y^beta z^{+-n})^{+(n+2r) chi(...)}.
 
 * pt_xbar: the series of the base change, whose exponent reads S's index
   set as (+-r, z) with orientation eps(r + n) and N = 2J; it equals PT^2.
@@ -43,10 +44,10 @@ from fractions import Fraction
 from typing import Callable
 
 from .invariants import conjectural_J, hilb_euler
-from .lattice import CurveClass, MukaiVector, enumerate_effective
+from .lattice import FIBER, CurveClass, MukaiVector, enumerate_effective
 from .modular import DeltaSeries, delta
-from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _trim,
-                     exp, log, pow_binomial, qz_invert)
+from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _Packs,
+                     _row_sum, _trim, exp, log, pow_binomial, qz_invert)
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,12 @@ def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
     return out
 
 
-def _exponent(params: PTParams, weight: Callable[[int, int], int]) -> MultiSeries:
-    """The exponent sum weight(r, z) J(r, beta, r + |z|) y^beta z^z over
-    the index set of S (see the module docstring), on the padded window.
+def _exponent(params: PTParams, oriented: bool = False) -> MultiSeries:
+    """The exponent sum w(r, z) J(r, beta, r + |z|) y^beta z^z over the index
+    set of S (see the module docstring), on the padded window.  The weight
+    is w = (n + 2r), n = |z|, times (-1)^(n-1) if params.signed; oriented,
+    it is the base change's w = 2 eps(r' + z) (z + 2r'), N = 2J read on
+    r' = r for z >= 0 and r' = -r for z < 0.
 
     J(r, beta, r + n) sums chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1}) / k^2
     over k | gcd(div beta, r, n), so it vanishes unless r(r+n) <= bound =
@@ -121,6 +125,7 @@ def _exponent(params: PTParams, weight: Callable[[int, int], int]) -> MultiSerie
     are summed in integer numerators over lcm(1..y_max)^2, which _of reduces."""
     lo, hi = window = params.work_window
     den = math.lcm(*range(1, params.y_max + 1)) ** 2
+    sign = [_signed_weight(n) if params.signed else 1 for n in range(hi + 1)]
     js: dict[tuple[int, int], int] = {}
     blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(params.y_max + 1)]
     for beta in enumerate_effective(params.y_max):
@@ -136,8 +141,13 @@ def _exponent(params: PTParams, weight: Callable[[int, int], int]) -> MultiSerie
                 if key not in js:
                     j = conjectural_J(MukaiVector(r, beta, r + n))
                     js[key] = j.numerator * (den // j.denominator)
-                for z in (n, -n) if r and n else (n,):  # the window is symmetric
-                    row[z - lo] += weight(r, z) * js[key]
+                if oriented:  # N = 2J at (r', z) = (r, n) and (-r, -n)
+                    up, down = 2 * _eps(r + n) * (n + 2 * r), 2 * _eps(-r - n) * (-n - 2 * r)
+                else:
+                    up = down = sign[n] * (n + 2 * r)
+                row[n - lo] += up * js[key]
+                if r and n:  # the window is symmetric
+                    row[-n - lo] += down * js[key]
         blocks[beta.weight][beta.a] = (lo, row)
     return MultiSeries._of(params.y_max, window, den, blocks)
 
@@ -147,51 +157,95 @@ def pt_main(params: PTParams) -> MultiSeries:
     y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r, times
     (-1)^(n-1) in the signed variant.  The padding strip absorbs the
     tails of the factors cut at the window."""
-    def weight(r: int, z: int) -> int:
-        n = abs(z)
-        return (n + 2 * r) * (_signed_weight(n) if params.signed else 1)
+    return _reported(exp(_exponent(params)), params, "pt_main")
 
-    return _reported(exp(_exponent(params, weight)), params, "pt_main")
+
+def _factor_rows(h: int, k_max: int, signed: bool,
+                 window: tuple[int, int]) -> list[tuple[int, list[int]]]:
+    """The rows f_0..f_k_max of the factor F_h(t, z) = sum_k f_k(z) t^k of
+    a class beta with beta^2/2 + 1 = h, t = y^beta, on the window:
+
+        F_h = prod_z (1 - t z^z)^(-e(h, z)),  signed: prod_z (1 + (-1)^(n-1) t z^z)^e(h, z)
+
+    with e = ky_pairs_euler and n = |z|.  For k_max = 1 that is f_1 = the
+    KY row, signed term by term.  Otherwise each z's binomial, read from
+    pow_binomial with the fiber class standing for t, is applied in place
+    from f_k_max down, so a shift-and-add only reads rows that this
+    binomial has not touched, and every row is cut to the window."""
+    lo, hi = window
+    rows = [[0] * (hi - lo + 1) for _ in range(k_max + 1)]
+    rows[0][-lo] = 1
+    for z in range(max(lo, 1 - h), hi + 1):
+        e = ky_pairs_euler(h, z)
+        if not e:
+            continue
+        if k_max == 1:
+            rows[1][z - lo] = e * _signed_weight(abs(z)) if signed else e
+            continue
+        if signed:
+            factor = pow_binomial(FIBER, z, _signed_weight(abs(z)), e, k_max, window)
+        else:
+            factor = pow_binomial(FIBER, z, -1, -e, k_max, window)
+        steps = [(k, s, c) for k, block in enumerate(factor._blocks) if k
+                 for s, (c,) in block.values()]
+        for top in range(k_max, 0, -1):
+            acc = rows[top]
+            for k, s, c in steps:
+                if k > top:
+                    break
+                row = rows[top - k]
+                if s >= 0:
+                    acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
+                else:
+                    acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
+    return [_trim(lo, row) for row in rows]
 
 
 def pt_borcherds(params: PTParams) -> MultiSeries:
-    """Product form of the stable-pair series, one binomial factor per
-    (beta, z): the exponents (n + 2r) chi(Hilb^{beta^2/2 - r(n+r) + 1}),
-    n = |z|, summed over r, are ky_pairs_euler(beta^2/2 + 1, z).  That
-    sum vanishes for beta^2 < -2 and for z < -beta^2/2.
+    """Product form of the stable-pair series, one factor per class: beta
+    with h = beta^2/2 + 1 >= 0 applies F_h(y^beta, z) of _factor_rows,
+    whose exponents (n + 2r) chi(Hilb^{h - r(n+r)}), n = |z|, summed over
+    r, are ky_pairs_euler(h, z).  It uses no J, exp or log.
 
-    The product is kept as integer blocks of full-window z-rows.  Each
-    factor is applied in place from the top weight down, so a
-    shift-and-add only reads blocks that the factor has not touched."""
+    F_h is built once per h, to the largest K = y_max // weight beta of
+    its classes, and a class with a smaller K reads a prefix of its rows.
+    A class heavier than y_max/2 (K = 1) enters as its linear term
+    f_1 y^beta, since any product of two such terms is heavier than y_max.
+    The others are applied from the heaviest down, each from the top
+    weight down, so that P_w(a) += sum_k f_k P_{w - k wb}(a - k ab) only
+    reads blocks that this factor has not touched.  Each target row is one
+    _row_sum over those pairs and the old row, cut to the window, whose
+    pad covers every partial product; each class has its own pack cache,
+    so replaced rows are not kept."""
     y = params.y_max
     lo, hi = window = params.work_window
+    # heaviest first, so every K = 1 seed is in place before the first product
+    classes = [(beta, h) for beta in reversed(enumerate_effective(y))
+               if (h := beta.self_intersection() // 2 + 1) >= 0]
+    need: dict[int, int] = {}
+    for beta, h in classes:
+        need[h] = max(need.get(h, 0), y // beta.weight)
+    factors = {h: _factor_rows(h, k, params.signed, window) for h, k in need.items()}
+    unit = (0, [1])
     blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(y + 1)]
-    blocks[0][0] = (lo, [int(k == 0) for k in range(lo, hi + 1)])
-    for beta in enumerate_effective(y):
-        h = beta.self_intersection() // 2 + 1
-        if h < 0:
+    blocks[0][0] = unit
+    for beta, h in classes:
+        wb, ab, f = beta.weight, beta.a, factors[h]
+        if y // wb == 1:
+            blocks[wb][ab] = f[1]
             continue
-        for z in range(max(lo, 1 - h), hi + 1):
-            e = ky_pairs_euler(h, z)
-            if not e:
-                continue
-            if params.signed:
-                factor = pow_binomial(beta, z, _signed_weight(abs(z)), e, y, window)
-            else:
-                factor = pow_binomial(beta, z, -1, -e, y, window)
-            # pow_binomial's integer terms, over denominator 1, past the constant
-            steps = [(dw, da, s, c) for dw, block in enumerate(factor._blocks) if dw
-                     for da, (s0, row) in block.items() for s, c in enumerate(row, s0)]
-            for w in range(y, 0, -1):
-                for dw, da, s, c in steps:
-                    if dw > w:
-                        break
-                    for a, (_, row) in blocks[w - dw].items():
-                        acc = blocks[w].setdefault(a + da, (lo, [0] * len(row)))[1]
-                        if s >= 0:
-                            acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
-                        else:
-                            acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
+        cache = _Packs()
+        for w in range(y, wb - 1, -1):
+            pairs: dict[int, list] = {}
+            for k, fk in enumerate(f[1:w // wb + 1], 1):
+                for a, row in blocks[w - k * wb].items():
+                    pairs.setdefault(a + k * ab, []).append((1, fk, row))
+            block = blocks[w]
+            for a, terms in pairs.items():
+                if a in block:
+                    terms.append((1, block[a], unit))
+                rlo, row = _row_sum(terms, cache)
+                block[a] = (max(lo, rlo), row[max(lo - rlo, 0):max(hi - rlo + 1, 0)])
     return _reported(MultiSeries._of(y, window, 1, blocks), params, "pt_borcherds")
 
 
@@ -204,13 +258,7 @@ def pt_xbar(params: PTParams) -> MultiSeries:
     index set of the exponent read as (r, z) for z >= 0 and (-r, z) for z < 0."""
     if params.signed:
         raise ValueError("the base-change series has no signed variant")
-
-    def weight(r: int, z: int) -> int:
-        # N(r', beta, z) = 2 J(r', beta, r' + z), with r' = r for z >= 0 and -r for z < 0
-        r = r if z >= 0 else -r
-        return 2 * _eps(r + z) * (z + 2 * r)
-
-    return _reported(exp(_exponent(params, weight)), params, "pt_xbar")
+    return _reported(exp(_exponent(params, oriented=True)), params, "pt_xbar")
 
 
 def ky_pairs_euler(h: int, n: int) -> int:

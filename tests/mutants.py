@@ -102,11 +102,27 @@ MUTANTS = (
             f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
             f"{P}test_pairs_path_digests_at_y_8")),
     Mutant("xbar-weight-drops-eps", "ptseries.py",
-           "2 * _eps(r + z) * (z + 2 * r)", "2 * (z + 2 * r)",
+           "2 * _eps(-r - n) * (-n - 2 * r)", "2 * (-n - 2 * r)",
            (f"{P}test_exponent_drops_no_factor",
             f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
             f"{P}test_xbar_squares_the_pair_series",
             f"{P}test_pairs_path_digests_at_y_8")),
+    Mutant("borcherds-heavy-one-weight-low", "ptseries.py",
+           "if y // wb == 1:", "if y // wb <= 2:",
+           (f"{P}test_borcherds_squares_a_class_of_half_the_weight",
+            f"{P}test_borcherds_at_the_smallest_sizes",
+            f"{P}test_borcherds_in_place_matches_product_by_mul",
+            f"{P}test_product_form_equals_exponential_form")),
+    # classes run heaviest first, so the first K seen for an h is its smallest
+    Mutant("borcherds-short-factor-reused", "ptseries.py",
+           "need[h] = max(need.get(h, 0), y // beta.weight)", "need.setdefault(h, y // beta.weight)",
+           (f"{P}test_borcherds_in_place_matches_product_by_mul",
+            f"{P}test_product_form_equals_exponential_form")),
+    Mutant("borcherds-linear-row-unsigned", "ptseries.py",
+           "e * _signed_weight(abs(z)) if signed else e", "e",
+           (f"{P}test_factor_rows_match_the_product_by_mul[True]",
+            f"{P}test_borcherds_in_place_matches_product_by_mul[True]",
+            f"{P}test_product_form_equals_exponential_form")),
     Mutant("pad-one-weight-short", "ptseries.py",
            "_depth(self.y_max - 1)", "_depth(self.y_max - 2)",
            (f"{P}test_pt_params_padding",

@@ -10,7 +10,7 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
                              enumerate_effective)
 from localk3 import ptseries
 from localk3.modular import inv_delta
-from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _depth,
+from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _depth, _factor_rows,
                               _kernel_decompose, _kernel_rows, _reported,
                               _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
@@ -185,8 +185,8 @@ def test_exp_and_product_forms_agree():
 def borcherds_by_mul(params):
     """The product form with one full series product per binomial factor
     (beta, r, n), found by brute force over the window: the oracle for
-    pt_borcherds, which merges the factors of each (beta, z) and applies
-    them in place."""
+    pt_borcherds, which merges the factors of each class beta into one
+    F_h, h = beta^2/2 + 1, built once per h, and applies it in place."""
     lo, hi = window = params.work_window
     out = one(params.y_max, window)
     for beta in enumerate_effective(params.y_max):
@@ -210,6 +210,54 @@ def test_borcherds_in_place_matches_product_by_mul(signed):
     for y_max in range(7):
         p = PTParams(y_max, y_max + 2, signed)
         assert pt_borcherds(p) == borcherds_by_mul(p)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("y_max, z_max", [(8, 10), (10, 12), (12, 14), (12, 30)])
+def test_product_form_equals_exponential_form(y_max, z_max, signed):
+    p = PTParams(y_max, z_max, signed)
+    assert pt_borcherds(p) == pt_main(p)
+
+
+@pytest.mark.parametrize("z_max", [0, 1, 3])
+@pytest.mark.parametrize("y_max", [0, 1, 2])
+def test_borcherds_at_the_smallest_sizes(y_max, z_max):
+    # y_max = 0 has no class, y_max = 1 only classes with K = 1, and
+    # y_max = 2 the first classes with K = 2
+    for signed in (False, True):
+        p = PTParams(y_max, z_max, signed)
+        assert pt_borcherds(p) == pt_main(p) == borcherds_by_mul(p)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("y_max, z_max", [(4, 0), (6, 1), (8, 3)])
+def test_borcherds_squares_a_class_of_half_the_weight(y_max, z_max, signed):
+    # a class of weight exactly y_max/2 has K = 2: its factor's t^2 row
+    # reaches 2 beta at weight y_max, which the linear term alone misses
+    p = PTParams(y_max, z_max, signed)
+    assert pt_borcherds(p) == pt_main(p)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_factor_rows_match_the_product_by_mul(signed):
+    # F_h as a series in t, with the fiber class standing for t: the
+    # product of its binomials by mul, cut to the window after each one;
+    # a smaller K reads a prefix of the rows, K = 1 the signed KY row
+    lo, hi = window = (-9, 9)
+    for h in range(5):
+        ref = one(4, window)
+        for z in range(max(lo, 1 - h), hi + 1):
+            e = ky_pairs_euler(h, z)
+            if signed:
+                ref = ref.mul(pow_binomial(FIBER, z, _signed_weight(abs(z)), e, 4, window))
+            else:
+                ref = ref.mul(pow_binomial(FIBER, z, -1, -e, 4, window))
+        rows = _factor_rows(h, 4, signed, window)
+        assert [LaurentPoly._of(1, *row) for row in rows] == [
+            LaurentPoly({z: ref.coeff(CurveClass(0, k), z) for z in range(lo, hi + 1)})
+            for k in range(5)], h
+        for k in (1, 2, 3):
+            assert _factor_rows(h, k, signed, window) == rows[:k + 1], (h, k)
 
 
 def sha256_terms(series):
