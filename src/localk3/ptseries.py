@@ -33,7 +33,13 @@ integer rows and hands it one checked kernel row per beta^2.
 Every z-window reads _depth(w) = max(0, beta^2/2) over weights <= w: no
 class-beta term of S, exp(S) or log(exp(S)) lies below z^-_depth(weight beta),
 so a term cut at a window top reaches beta only beside parts no lower than
-z^-_depth(weight beta - 1).  This sets z_pad, gv_extract's tops and _gv_need.
+z^-_depth(weight beta - 1).  This sets gv_extract's tops and _gv_need.  The
+three builds give weight w its own top T(w) = z_max + _depth(y_max - w)
+(_tops): a weight-w term at z <= T(w) has each part, of weight v, at
+z <= T(w) + _depth(w - v) <= T(v), as _depth is superadditive, so every
+coefficient a build keeps is exact, an integer, and the series it returns
+has denominator 1.  No class lies below the one bottom -z_max - z_pad but
+those of weight y_max, and those are below -z_max.
 """
 
 from __future__ import annotations
@@ -54,9 +60,10 @@ from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSe
 class PTParams:
     """Truncation parameters for the stable-pair series.
 
-    The builds pad the z-window by z_pad = _depth(y_max - 1), so that the
-    reported window [-z_max, z_max] is exact; a term cut off below the
-    padded bottom lies in a class of weight y_max, below -z_max.
+    work_window pads [-z_max, z_max] by z_pad = _depth(y_max - 1) on both
+    sides: its bottom is the builds' one bottom, and its top is T(1), the
+    highest of their per-class tops (_tops).  z_pad itself stays only for
+    xbar-verify and the bench, which build pt_main on z_max + z_pad.
     """
 
     y_max: int
@@ -80,6 +87,12 @@ class PTParams:
 def _depth(w: int) -> int:
     """max(0, beta^2/2) over weights <= w: (a, w - a) has beta^2/2 = a(w - 2a)."""
     return max((a * (w - 2 * a) for a in range(w + 1)), default=0)
+
+
+def _tops(params: PTParams) -> list[int]:
+    """T(w) = z_max + _depth(y_max - w), w = 0..y_max: the top of weight w's
+    work window in every build (see the module docstring)."""
+    return [params.z_max + _depth(params.y_max - w) for w in range(params.y_max + 1)]
 
 
 def _gv_need(y_max: int) -> int:
@@ -122,58 +135,67 @@ def _exponent(params: PTParams, oriented: bool = False) -> MultiSeries:
     over k | gcd(div beta, r, n), so it vanishes unless r(r+n) <= bound =
     beta^2/2 + (div beta)^2.  It is looked up once per key (beta^2 - 2r(r+n),
     gcd(div beta, r, n)).  Its denominator divides (div beta)^2, so the rows
-    are summed in integer numerators over lcm(1..y_max)^2, which _of reduces."""
+    are summed in integer numerators over lcm(1..y_max)^2, which _of reduces.
+    S_beta depends on beta only through (beta^2, div beta), so each such
+    pair builds one row, and its classes share that row object."""
     lo, hi = window = params.work_window
     den = math.lcm(*range(1, params.y_max + 1)) ** 2
     sign = [_signed_weight(n) if params.signed else 1 for n in range(hi + 1)]
     js: dict[tuple[int, int], int] = {}
+    rows: dict[tuple[int, int], list[int]] = {}
     blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(params.y_max + 1)]
     for beta in enumerate_effective(params.y_max):
         square, g = beta.self_intersection(), beta.divisibility()
         bound = square // 2 + g * g
         if bound < 0:
             continue
-        row = [0] * (hi - lo + 1)
-        for r in range(math.isqrt(bound) + 1):
-            reach = bound // r - r if r else hi  # largest n with r(r+n) <= bound
-            for n in range(0 if r else 1, min(reach, hi) + 1):
-                key = (square - 2 * r * (r + n), math.gcd(g, r, n))
-                if key not in js:
-                    j = conjectural_J(MukaiVector(r, beta, r + n))
-                    js[key] = j.numerator * (den // j.denominator)
-                if oriented:  # N = 2J at (r', z) = (r, n) and (-r, -n)
-                    up, down = 2 * _eps(r + n) * (n + 2 * r), 2 * _eps(-r - n) * (-n - 2 * r)
-                else:
-                    up = down = sign[n] * (n + 2 * r)
-                row[n - lo] += up * js[key]
-                if r and n:  # the window is symmetric
-                    row[-n - lo] += down * js[key]
-        blocks[beta.weight][beta.a] = (lo, row)
+        if (square, g) not in rows:
+            row = rows[square, g] = [0] * (hi - lo + 1)
+            for r in range(math.isqrt(bound) + 1):
+                reach = bound // r - r if r else hi  # largest n with r(r+n) <= bound
+                for n in range(0 if r else 1, min(reach, hi) + 1):
+                    key = (square - 2 * r * (r + n), math.gcd(g, r, n))
+                    if key not in js:
+                        j = conjectural_J(MukaiVector(r, beta, r + n))
+                        js[key] = j.numerator * (den // j.denominator)
+                    if oriented:  # N = 2J at (r', z) = (r, n) and (-r, -n)
+                        up, down = 2 * _eps(r + n) * (n + 2 * r), 2 * _eps(-r - n) * (-n - 2 * r)
+                    else:
+                        up = down = sign[n] * (n + 2 * r)
+                    row[n - lo] += up * js[key]
+                    if r and n:  # the window is symmetric
+                        row[-n - lo] += down * js[key]
+        blocks[beta.weight][beta.a] = (lo, rows[square, g])
     return MultiSeries._of(params.y_max, window, den, blocks)
 
 
 def pt_main(params: PTParams) -> MultiSeries:
     """Exponential form of the stable-pair series: the exponent of
     y^beta z^{+-n} sums (n + 2r) J(r, beta, r + n) over r, times
-    (-1)^(n-1) in the signed variant.  The padding strip absorbs the
-    tails of the factors cut at the window."""
-    return _reported(exp(_exponent(params)), params, "pt_main")
+    (-1)^(n-1) in the signed variant.  exp cuts each weight at its top
+    T(w) of _tops, where every coefficient it keeps is exact."""
+    return _reported(exp(_exponent(params), _tops(params)), params, "pt_main")
 
 
-def _factor_rows(h: int, k_max: int, signed: bool,
-                 window: tuple[int, int]) -> list[tuple[int, list[int]]]:
-    """The rows f_0..f_k_max of the factor F_h(t, z) = sum_k f_k(z) t^k of
-    a class beta with beta^2/2 + 1 = h, t = y^beta, on the window:
+def _factor_rows(h: int, signed: bool, lo: int,
+                 tops: list[int]) -> list[tuple[int, list[int]]]:
+    """The rows f_0..f_K, K = len(tops) - 1 >= 1, of the factor
+    F_h(t, z) = sum_k f_k(z) t^k of a class beta with beta^2/2 + 1 = h,
+    t = y^beta, each f_k on [lo, tops[k]], tops not increasing in k:
 
         F_h = prod_z (1 - t z^z)^(-e(h, z)),  signed: prod_z (1 + (-1)^(n-1) t z^z)^e(h, z)
 
-    with e = ky_pairs_euler and n = |z|.  For k_max = 1 that is f_1 = the
+    with e = ky_pairs_euler and n = |z|.  For K = 1 that is f_1 = the
     KY row, signed term by term.  Otherwise each z's binomial, read from
     pow_binomial with the fiber class standing for t, is applied in place
-    from f_k_max down, so a shift-and-add only reads rows that this
-    binomial has not touched, and every row is cut to the window."""
-    lo, hi = window
-    rows = [[0] * (hi - lo + 1) for _ in range(k_max + 1)]
+    from f_K down, so a shift-and-add only reads rows that this binomial
+    has not touched.  A shift by z >= 0 reads f_j below the top of f_k,
+    j < k; one by z < 0 comes before every z >= 0, when each row vanishes
+    above z^0; so the cuts change no coefficient below the tops.  The
+    factors run to z = tops[1], and f_k(z) sums parts down to z^(1 - h),
+    so it is exact where z + (k - 1)(h - 1) <= tops[1]."""
+    k_max, hi = len(tops) - 1, tops[1]
+    rows = [[0] * (top - lo + 1) for top in tops]
     rows[0][-lo] = 1
     for z in range(max(lo, 1 - h), hi + 1):
         e = ky_pairs_euler(h, z)
@@ -183,9 +205,9 @@ def _factor_rows(h: int, k_max: int, signed: bool,
             rows[1][z - lo] = e * _signed_weight(abs(z)) if signed else e
             continue
         if signed:
-            factor = pow_binomial(FIBER, z, _signed_weight(abs(z)), e, k_max, window)
+            factor = pow_binomial(FIBER, z, _signed_weight(abs(z)), e, k_max, (lo, hi))
         else:
-            factor = pow_binomial(FIBER, z, -1, -e, k_max, window)
+            factor = pow_binomial(FIBER, z, -1, -e, k_max, (lo, hi))
         steps = [(k, s, c) for k, block in enumerate(factor._blocks) if k
                  for s, (c,) in block.values()]
         for top in range(k_max, 0, -1):
@@ -194,10 +216,10 @@ def _factor_rows(h: int, k_max: int, signed: bool,
                 if k > top:
                     break
                 row = rows[top - k]
-                if s >= 0:
+                if s >= 0:  # row is no shorter than acc
                     acc[s:] = [u + c * v for u, v in zip(acc[s:], row)]
                 else:
-                    acc[:s] = [u + c * v for u, v in zip(acc, row[-s:])]
+                    acc[:min(len(acc), len(row) + s)] = [u + c * v for u, v in zip(acc, row[-s:])]
     return [_trim(lo, row) for row in rows]
 
 
@@ -207,32 +229,37 @@ def pt_borcherds(params: PTParams) -> MultiSeries:
     whose exponents (n + 2r) chi(Hilb^{h - r(n+r)}), n = |z|, summed over
     r, are ky_pairs_euler(h, z).  It uses no J, exp or log.
 
-    F_h is built once per h, to the largest K = y_max // weight beta of
-    its classes, and a class with a smaller K reads a prefix of its rows.
+    F_h is built once per h, for the lightest weight w of its classes:
+    K = y_max // w rows, f_k up to T(k w) of _tops, which covers every
+    class of that h, and a class with a smaller K reads a prefix of them.
+    f_k is exact there, as (k - 1)(h - 1) <= _depth((k - 1) w) and so
+    T(k w) + (k - 1)(h - 1) <= T(w).
     A class heavier than y_max/2 (K = 1) enters as its linear term
-    f_1 y^beta, since any product of two such terms is heavier than y_max.
-    The others are applied from the heaviest down, each from the top
-    weight down, so that P_w(a) += sum_k f_k P_{w - k wb}(a - k ab) only
-    reads blocks that this factor has not touched.  Each target row is one
-    _row_sum over those pairs and the old row, cut to the window, whose
-    pad covers every partial product; each class has its own pack cache,
-    so replaced rows are not kept."""
-    y = params.y_max
-    lo, hi = window = params.work_window
+    f_1 y^beta, cut at its own top, since any product of two such terms
+    is heavier than y_max.  The others are applied from the heaviest
+    down, each from the top weight down, so that
+    P_w(a) += sum_k f_k P_{w - k wb}(a - k ab) only reads blocks that this
+    factor has not touched.  Each target row is one _row_sum over those
+    pairs and the old row, read back up to T(w), where every partial
+    product is exact; each class has its own pack cache, so replaced rows
+    are not kept."""
+    y, tops = params.y_max, _tops(params)
+    lo = params.work_window[0]
     # heaviest first, so every K = 1 seed is in place before the first product
     classes = [(beta, h) for beta in reversed(enumerate_effective(y))
                if (h := beta.self_intersection() // 2 + 1) >= 0]
-    need: dict[int, int] = {}
+    light: dict[int, int] = {}
     for beta, h in classes:
-        need[h] = max(need.get(h, 0), y // beta.weight)
-    factors = {h: _factor_rows(h, k, params.signed, window) for h, k in need.items()}
+        light[h] = min(light.get(h, y), beta.weight)
+    factors = {h: _factor_rows(h, params.signed, lo, tops[::w]) for h, w in light.items()}
     unit = (0, [1])
     blocks: list[dict[int, tuple[int, list[int]]]] = [{} for _ in range(y + 1)]
     blocks[0][0] = unit
     for beta, h in classes:
         wb, ab, f = beta.weight, beta.a, factors[h]
         if y // wb == 1:
-            blocks[wb][ab] = f[1]
+            flo, frow = f[1]
+            blocks[wb][ab] = (flo, frow[:tops[wb] - flo + 1])
             continue
         cache = _Packs()
         for w in range(y, wb - 1, -1):
@@ -244,9 +271,9 @@ def pt_borcherds(params: PTParams) -> MultiSeries:
             for a, terms in pairs.items():
                 if a in block:
                     terms.append((1, block[a], unit))
-                rlo, row = _row_sum(terms, cache)
-                block[a] = (max(lo, rlo), row[max(lo - rlo, 0):max(hi - rlo + 1, 0)])
-    return _reported(MultiSeries._of(y, window, 1, blocks), params, "pt_borcherds")
+                block[a] = _row_sum(terms, cache, (lo, tops[w]))
+    return _reported(MultiSeries._of(y, params.work_window, 1, blocks), params,
+                     "pt_borcherds")
 
 
 def pt_xbar(params: PTParams) -> MultiSeries:
@@ -258,7 +285,7 @@ def pt_xbar(params: PTParams) -> MultiSeries:
     index set of the exponent read as (r, z) for z >= 0 and (-r, z) for z < 0."""
     if params.signed:
         raise ValueError("the base-change series has no signed variant")
-    return _reported(exp(_exponent(params, oriented=True)), params, "pt_xbar")
+    return _reported(exp(_exponent(params, oriented=True), _tops(params)), params, "pt_xbar")
 
 
 def ky_pairs_euler(h: int, n: int) -> int:

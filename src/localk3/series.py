@@ -12,7 +12,8 @@ Two series types, both with exact coefficients; a float is refused:
 
 Both store integer numerators over an explicit denominator, reduced so
 that equal values are stored alike; a Fraction appears only where a
-coefficient goes in or comes out.  A LaurentPoly, and so each QZSeries
+coefficient goes in or comes out, and a MultiSeries over denominator 1
+hands its coefficients out as plain ints.  A LaurentPoly, and so each QZSeries
 row, is a dense row with nonzero ends over its own denominator.  A
 MultiSeries stores integer blocks: per weight, the class coordinate a
 maps to such a z-row, all over one denominator.  Every product
@@ -195,23 +196,29 @@ class MultiSeries:
         {a: (lo, row)}, the z-row of the class a*s + (w - a)*f, in integer
         numerators over den > 0.  It is stored canonically as _den and
         _blocks: rows cut to the window with nonzero ends, empty classes
-        dropped, and den and every numerator divided by their gcd."""
+        dropped, and den and every numerator divided by their gcd.  A row
+        object that several classes share is cut and divided once, and
+        stays shared."""
         out = cls.__new__(cls)
         out.y_max = y_max
         out.z_lo, out.z_hi = lo, hi = z_window
-        kept = []
+        kept, cuts = [], {}
         for block in blocks:
             cut = {}
             for a, (rlo, row) in block.items():
-                rlo, row = _trim(max(lo, rlo), row[max(lo - rlo, 0):max(hi - rlo + 1, 0)])
-                if row:
-                    cut[a] = (rlo, row)
+                key = (rlo, id(row))
+                if key not in cuts:
+                    cuts[key] = _trim(max(lo, rlo), row[max(lo - rlo, 0):max(hi - rlo + 1, 0)])
+                if cuts[key][1]:
+                    cut[a] = cuts[key]
             kept.append(cut)
         if den != 1:
-            g = math.gcd(den, *(math.gcd(*row) for block in kept for _, row in block.values()))
+            rows = {id(row): row for block in kept for _, row in block.values()}
+            g = math.gcd(den, *(math.gcd(*row) for row in rows.values()))
             if g > 1:
                 den //= g
-                kept = [{a: (rlo, [v // g for v in row]) for a, (rlo, row) in block.items()}
+                rows = {i: [v // g for v in row] for i, row in rows.items()}
+                kept = [{a: (rlo, rows[id(row)]) for a, (rlo, row) in block.items()}
                         for block in kept]
         out._den, out._blocks = den, kept
         return out
@@ -226,8 +233,10 @@ class MultiSeries:
         i = z_exp - lo
         return Fraction(row[i], self._den) if 0 <= i < len(row) else Fraction(0)
 
-    def terms(self) -> Iterator[tuple[CurveClass, int, Fraction]]:
-        """Terms sorted by (weight, a, z) for deterministic output."""
+    def terms(self) -> Iterator[tuple[CurveClass, int, Coeff]]:
+        """Terms sorted by (weight, a, z) for deterministic output.  Over
+        denominator 1 each coefficient is an int, else a Fraction, so a
+        caller divides one through Fraction, not with /."""
         den = self._den
         for w, block in enumerate(self._blocks):
             for a in sorted(block):
@@ -235,7 +244,7 @@ class MultiSeries:
                 cls = CurveClass(a, w - a)
                 for k, v in enumerate(row, lo):
                     if v:
-                        yield cls, k, Fraction(v, den)
+                        yield cls, k, v if den == 1 else Fraction(v, den)
 
     def is_zero(self) -> bool:
         return not any(self._blocks)
@@ -309,17 +318,21 @@ class MultiSeries:
         return " + ".join(f"{v}*y^({cls})*z^{k}" for cls, k, v in self.terms())
 
 
-def exp(a: MultiSeries) -> MultiSeries:
+def exp(a: MultiSeries, tops: list[int] | None = None) -> MultiSeries:
     """exp of a series all of whose terms carry a nonzero curve class.
 
     With A_k the weight-k part of a and E_w that of exp(a), the grading
     derivation gives w E_w = sum_{k=1..w} k A_k E_{w-k} (Brent-Kung), a
     finite recurrence because weights only add: _graded with
     gamma(w, k) = k / w, from E_0 = 1.
+
+    tops, one z-exponent per weight, cuts A_w and E_w at z^tops[w] as
+    well as at z_hi; the caller picks tops that no cut term can reach
+    (ptseries' per-class tops).  None keeps the one window.
     """
     if a._blocks[0]:
         raise ValueError("exp needs every term to carry a nonzero curve class")
-    return _graded(a, lambda w, k: Fraction(k, w))
+    return _graded(a, lambda w, k: Fraction(k, w), tops=tops)
 
 
 def log(a: MultiSeries) -> MultiSeries:
@@ -338,11 +351,13 @@ def log(a: MultiSeries) -> MultiSeries:
                    constant=False)
 
 
-def _graded(a: MultiSeries, gamma, constant: bool = True) -> MultiSeries:
+def _graded(a: MultiSeries, gamma, constant: bool = True,
+            tops: list[int] | None = None) -> MultiSeries:
     """The series S = sum_w S_w with S_0 = 1 (if z^0 is in the window)
     and S_w = sum_{k=1..w} gamma(w, k) A_k S_{w-k}, A_k the weight-k
-    part of a; each S_w is cut to the window.  S_0 is left out of the
-    result unless constant.
+    part of a; each S_w is cut to the window, and with tops, A_w and S_w
+    are cut at z^tops[w] as well.  S_0 is left out of the result unless
+    constant.
 
     In integer blocks A_k = N_k / D, and S_j = P_j / d_j is kept
     reduced.  Step w puts its terms over D L, with L the lcm of
@@ -354,14 +369,16 @@ def _graded(a: MultiSeries, gamma, constant: bool = True) -> MultiSeries:
     copied, and one pack cache serves every step: each row is packed
     once per slot width over the whole recurrence.
     """
-    den, n, cache = a._den, a._blocks, _Packs()
+    den, cache = a._den, _Packs()
+    tops = [min(a.z_hi, top) for top in tops or [a.z_hi] * (a.y_max + 1)]
+    n = [_cut(block, top) for block, top in zip(a._blocks, tops)]
     p = [{0: (0, [1])} if a.z_lo <= 0 <= a.z_hi else {}]
     d = [1]
     for w in range(1, a.y_max + 1):
         terms = [(k, gamma(w, k)) for k in range(1, w + 1) if n[k] and p[w - k]]
         lcm = math.lcm(*(g.denominator * d[w - k] for k, g in terms))
         block = _block_product([(g.numerator * (lcm // (g.denominator * d[w - k])), n[k], p[w - k])
-                                for k, g in terms], a.z_lo, a.z_hi, cache)
+                                for k, g in terms], a.z_lo, tops[w], cache)
         dw = den * lcm
         g = math.gcd(dw, *(math.gcd(*row) for _, row in block.values()))
         if g > 1:
@@ -372,8 +389,17 @@ def _graded(a: MultiSeries, gamma, constant: bool = True) -> MultiSeries:
         p[0] = {}
     top = math.lcm(*d)
     return MultiSeries._of(a.y_max, a.z_window, top, [
+        block if dw == top else
         {x: (xlo, [v * (top // dw) for v in row]) for x, (xlo, row) in block.items()}
         for block, dw in zip(p, d)])
+
+
+def _cut(block: dict, hi: int) -> dict:
+    """block with each row cut at z^hi; a row that ends below is kept as
+    it is, and a row object that several classes share is cut once."""
+    cuts = {(xlo, id(row)): row[:max(hi - xlo + 1, 0)] for xlo, row in block.values()
+            if xlo + len(row) > hi + 1}
+    return {x: (xlo, cuts.get((xlo, id(row)), row)) for x, (xlo, row) in block.items()}
 
 
 def pow_binomial(base_class: CurveClass, z_exp: int, sign: int, exponent: int,
@@ -458,10 +484,12 @@ class _Packs(dict):
     nb = 1
 
 
-def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list[int]]:
+def _row_sum(pairs: list, cache: _Packs | None = None,
+             window: tuple[int, int] | None = None) -> tuple[int, list[int]]:
     """Sum of the products c * a * b over (c, (lo, a), (lo, b)) triples,
     c a nonzero integer and a, b dense integer rows, as a trimmed row, by
-    Kronecker substitution.  Every product of rows runs through here,
+    Kronecker substitution; with a window (lo, hi), only the slots of
+    z^lo..z^hi are read back.  Every product of rows runs through here,
     and nothing else calls _pack or _unpack_sum.
 
     Each distinct row v is packed into X = sum_i v_i 2^(s i).  A pair's
@@ -500,7 +528,7 @@ def _row_sum(pairs: list, cache: _Packs | None = None) -> tuple[int, list[int]]:
             if e[3] != nb:
                 e[3:] = nb, _pack(e[0], nb)
     return _trim(*_unpack_sum([(off, x[4] * y[4] * c, x[1] + y[1] - 1)
-                               for c, off, x, y in live], nb))
+                               for c, off, x, y in live], nb, window))
 
 
 def _slot_bytes(bound: int) -> int:
@@ -520,9 +548,11 @@ def _pack(row: list[int], nb: int) -> int:
                           "little") - _bias(nb, len(row))
 
 
-def _unpack_sum(parts: list, nb: int) -> tuple[int, list[int]]:
+def _unpack_sum(parts: list, nb: int,
+                window: tuple[int, int] | None = None) -> tuple[int, list[int]]:
     """The row sum x z^off over the (off, x, n) in parts, each x a row of
-    n slots packed as by _pack, as (lowest exponent, integer row).
+    n slots packed as by _pack, as (lowest exponent, integer row); with
+    a window (lo, hi), only the slots of z^lo..z^hi are read back.
 
     The shifted x sum to T = sum_k C_k 2^(8 nb k), C_k the coefficients
     sought.  The read-back is exact if every |C_k| < 2^(8 nb - 1): each
@@ -532,11 +562,14 @@ def _unpack_sum(parts: list, nb: int) -> tuple[int, list[int]]:
     slice minus the bias."""
     lo = min(off for off, _, _ in parts)
     width = max(off + n for off, _, n in parts) - lo
+    first, end = (0, width) if window is None else (
+        max(window[0] - lo, 0), min(window[1] - lo + 1, width))
     s = 8 * nb
     total = sum(x << (s * (off - lo)) for off, x, _ in parts)
     buf = (total + _bias(nb, width)).to_bytes(nb * width, "little")
     half = 1 << (s - 1)
-    return lo, [int.from_bytes(buf[i:i + nb], "little") - half for i in range(0, nb * width, nb)]
+    return lo + first, [int.from_bytes(buf[i:i + nb], "little") - half
+                        for i in range(nb * first, nb * end, nb)]
 
 
 def _bias(nb: int, n: int) -> int:
@@ -547,10 +580,10 @@ def _bias(nb: int, n: int) -> int:
 def _block_product(pairs: list, lo: int, hi: int,
                    cache: _Packs) -> dict[int, tuple[int, list]]:
     """Sum of the products c * x * y over (c, block x, block y) triples,
-    c a nonzero integer, class by class, cut to the z-window [lo, hi].
-    Every _row_sum call shares the caller's cache, so a row that meets
-    several target classes, or recurs across calls, is packed once per
-    slot width."""
+    c a nonzero integer, class by class, read back on the z-window
+    [lo, hi].  Every _row_sum call shares the caller's cache, so a row
+    that meets several target classes, or recurs across calls, is packed
+    once per slot width."""
     by_class: dict[int, list] = {}
     for c, x, y in pairs:
         for ax, rx in x.items():
@@ -558,10 +591,9 @@ def _block_product(pairs: list, lo: int, hi: int,
                 by_class.setdefault(ax + ay, []).append((c, rx, ry))
     out = {}
     for a, rows in by_class.items():
-        rlo, row = _row_sum(rows, cache)
-        row = row[max(lo - rlo, 0):max(hi - rlo + 1, 0)]
-        if any(row):
-            out[a] = (max(lo, rlo), row)
+        rlo, row = _row_sum(rows, cache, (lo, hi))
+        if row:
+            out[a] = (rlo, row)
     return out
 
 

@@ -60,6 +60,11 @@ MUTANTS = (
            (f"{S}test_row_sum_at_the_slot_bound",
             f"{S}test_qz_mul_at_the_slot_bound",
             f"{S}test_kronecker_row_sum_matches_schoolbook")),
+    Mutant("unpack-window-one-slot-short", "series.py",
+           "min(window[1] - lo + 1, width)", "min(window[1] - lo, width)",
+           (f"{S}test_row_sum_reads_back_exactly_the_window",
+            f"{S}test_block_product_with_scalars_and_a_shared_cache_matches_schoolbook",
+            f"{P}test_pairs_path_digests_at_y_8")),
     Mutant("stale-packing-kept", "series.py",
            "if e[3] != nb:", "if not e[3]:",
            (f"{S}test_qz_invert_widens_the_slot_with_a_non_unit_lead",
@@ -113,16 +118,38 @@ MUTANTS = (
             f"{P}test_borcherds_at_the_smallest_sizes",
             f"{P}test_borcherds_in_place_matches_product_by_mul",
             f"{P}test_product_form_equals_exponential_form")),
-    # classes run heaviest first, so the first K seen for an h is its smallest
+    # classes run heaviest first, so the first weight seen for an h is its
+    # heaviest: its factor has the smallest K and the lowest tops
     Mutant("borcherds-short-factor-reused", "ptseries.py",
-           "need[h] = max(need.get(h, 0), y // beta.weight)", "need.setdefault(h, y // beta.weight)",
-           (f"{P}test_borcherds_in_place_matches_product_by_mul",
+           "light[h] = min(light.get(h, y), beta.weight)", "light.setdefault(h, beta.weight)",
+           (f"{P}test_product_form_equals_exponential_form_at_small_sizes",
+            f"{P}test_borcherds_in_place_matches_product_by_mul",
             f"{P}test_product_form_equals_exponential_form")),
     Mutant("borcherds-linear-row-unsigned", "ptseries.py",
            "e * _signed_weight(abs(z)) if signed else e", "e",
            (f"{P}test_factor_rows_match_the_product_by_mul[True]",
             f"{P}test_borcherds_in_place_matches_product_by_mul[True]",
             f"{P}test_product_form_equals_exponential_form")),
+    Mutant("tops-one-too-narrow", "ptseries.py",
+           "params.z_max + _depth(params.y_max - w) for w",
+           "params.z_max + _depth(params.y_max - w) - 1 for w",
+           (f"{P}test_exp_on_per_class_tops_is_exact",
+            f"{P}test_pairs_path_digests_at_y_8",
+            f"{P}test_pairs_path_digests_at_y_12",
+            "tests/test_cli.py::test_stdout_matches_recorded_digest")),
+    Mutant("tops-depth-one-weight-short", "ptseries.py",
+           "_depth(params.y_max - w)", "_depth(params.y_max - w - 1)",
+           (f"{P}test_exp_on_per_class_tops_is_exact",
+            f"{P}test_product_form_equals_exponential_form",
+            f"{P}test_pairs_path_digests_at_y_8",
+            f"{P}test_pairs_path_digests_at_y_12")),
+    Mutant("borcherds-factor-tops-at-heaviest", "ptseries.py",
+           "tops[::w]) for h, w in light.items()",
+           "[tops[min(k * max(b.weight for b, g in classes if g == h), y)]"
+           " for k in range(y // w + 1)]) for h, w in light.items()",
+           (f"{P}test_product_form_equals_exponential_form_at_small_sizes",
+            f"{P}test_product_form_equals_exponential_form",
+            f"{P}test_borcherds_in_place_matches_product_by_mul")),
     Mutant("pad-one-weight-short", "ptseries.py",
            "_depth(self.y_max - 1)", "_depth(self.y_max - 2)",
            (f"{P}test_pt_params_padding",

@@ -53,6 +53,6 @@ def strip_covers_by_recursion(lseries, signed: bool) -> dict:
                 continue
             for j, c in f[CurveClass(beta.a // m, beta.b // m)].items():
                 if lseries.z_lo <= j * m <= lseries.z_hi:
-                    fb[j * m] = fb.get(j * m, Fraction(0)) - c / m
+                    fb[j * m] = fb.get(j * m, Fraction(0)) - Fraction(c, m)
         f[beta] = {j: c for j, c in fb.items() if c}
     return f

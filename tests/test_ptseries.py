@@ -14,7 +14,7 @@ from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _depth, _fac
                               _kernel_decompose, _kernel_rows, _reported,
                               _signed_weight, bps_extract, gv_extract, ky_identity_check,
                               ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
-from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, log, pow_binomial
+from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, _trim, exp, log, pow_binomial
 from oracles import kernel_coeff, strip_covers_by_recursion
 
 # SHA-256 of the sorted "a b z coefficient" lines of pt_main(PTParams(8, 10))
@@ -54,8 +54,9 @@ def test_depth_is_the_largest_half_square():
         brute = max([0] + [b.self_intersection() // 2 for b in enumerate_effective(w)])
         assert _depth(w) == brute, w
     assert _depth(-1) == 0
-    # superadditive, which is what lets one weight bound a product's parts
-    assert all(_depth(a) + _depth(b) <= _depth(a + b) for a in range(31) for b in range(31))
+    # superadditive, which is what lets one weight bound a product's parts:
+    # a part of weight v of a weight-w term at z <= T(w) lies at z <= T(v)
+    assert all(_depth(a) + _depth(b) <= _depth(a + b) for a in range(61) for b in range(61))
 
 
 class Captured(Exception):
@@ -65,7 +66,7 @@ class Captured(Exception):
 def exponent(build, params, monkeypatch):
     """The exponent that build (pt_main or pt_xbar) passes to exp, taken
     before exp runs."""
-    def stop(series):
+    def stop(series, tops=None):
         raise Captured(series)
 
     monkeypatch.setattr(ptseries, "exp", stop)
@@ -150,6 +151,43 @@ def test_exponent_is_the_multiple_cover_sum_of_ky_counts(y_max, z_max, monkeypat
     assert mismatches == []
 
 
+def half_square_top(y_max, z_max, w):
+    """T(w) = z_max + the largest beta^2/2 over effective classes of weight
+    <= y_max - w, by brute force: the top of weight w in every build."""
+    return z_max + max([0] + [b.self_intersection() // 2
+                              for b in enumerate_effective(y_max - w)])
+
+
+@pytest.mark.parametrize("variant", list(BUILDS))
+@pytest.mark.parametrize("y_max, z_max", [(8, 10), (10, 12), (12, 14), (12, 30)])
+def test_exp_on_per_class_tops_is_exact(variant, y_max, z_max, monkeypatch):
+    # exp(S, tops), with the tops the build passes, equals exp(S) on the
+    # one padded window wherever a class keeps a coefficient, and is integral
+    build, signed, _ = BUILDS[variant]
+    seen = []
+    monkeypatch.setattr(ptseries, "exp", lambda s, tops=None: seen.append((s, tops)) or exp(s, tops))
+    build(PTParams(y_max, z_max, signed))
+    s, tops = seen[0]
+    cut, full = exp(s, tops), exp(s)
+    assert cut._den == 1 and full._den != 1
+    for beta in enumerate_effective(y_max):
+        top = half_square_top(y_max, z_max, beta.weight)
+        assert ([cut.coeff(beta, k) for k in range(s.z_lo, top + 1)]
+                == [full.coeff(beta, k) for k in range(s.z_lo, top + 1)]), (beta, top)
+        assert all(k <= top for cls, k, _ in cut.terms() if cls == beta), beta
+
+
+def test_exponent_rows_are_shared_by_square_and_divisibility(monkeypatch):
+    # S_beta depends on beta only through (beta^2, div beta): one row object per pair
+    s = exponent(pt_main, PTParams(10, 12), monkeypatch)
+    rows = {}
+    for beta in enumerate_effective(10):
+        if s._blocks[beta.weight].get(beta.a):
+            rows.setdefault((beta.self_intersection(), beta.divisibility()), set()).add(
+                id(s._blocks[beta.weight][beta.a][1]))
+    assert len(rows) == 34 and all(len(ids) == 1 for ids in rows.values())
+
+
 def test_J_is_looked_up_once_per_key(monkeypatch):
     keys = []
 
@@ -219,6 +257,15 @@ def test_product_form_equals_exponential_form(y_max, z_max, signed):
     assert pt_borcherds(p) == pt_main(p)
 
 
+@pytest.mark.parametrize("y_max", range(11))
+def test_product_form_equals_exponential_form_at_small_sizes(y_max):
+    # per-class tops at every small weight bound, in the narrowest windows too
+    for z_max in (0, 1, 3, y_max + 2):
+        for signed in (False, True):
+            p = PTParams(y_max, z_max, signed)
+            assert pt_borcherds(p) == pt_main(p), (z_max, signed)
+
+
 @pytest.mark.parametrize("z_max", [0, 1, 3])
 @pytest.mark.parametrize("y_max", [0, 1, 2])
 def test_borcherds_at_the_smallest_sizes(y_max, z_max):
@@ -242,7 +289,9 @@ def test_borcherds_squares_a_class_of_half_the_weight(y_max, z_max, signed):
 def test_factor_rows_match_the_product_by_mul(signed):
     # F_h as a series in t, with the fiber class standing for t: the
     # product of its binomials by mul, cut to the window after each one;
-    # a smaller K reads a prefix of the rows, K = 1 the signed KY row
+    # a smaller K reads a prefix of the rows, K = 1 the signed KY row, and
+    # tops falling with k, the factors still run to z = tops[1], cut each
+    # row at its own top and change nothing below it
     lo, hi = window = (-9, 9)
     for h in range(5):
         ref = one(4, window)
@@ -252,12 +301,15 @@ def test_factor_rows_match_the_product_by_mul(signed):
                 ref = ref.mul(pow_binomial(FIBER, z, _signed_weight(abs(z)), e, 4, window))
             else:
                 ref = ref.mul(pow_binomial(FIBER, z, -1, -e, 4, window))
-        rows = _factor_rows(h, 4, signed, window)
+        rows = _factor_rows(h, signed, lo, [hi] * 5)
         assert [LaurentPoly._of(1, *row) for row in rows] == [
             LaurentPoly({z: ref.coeff(CurveClass(0, k), z) for z in range(lo, hi + 1)})
             for k in range(5)], h
         for k in (1, 2, 3):
-            assert _factor_rows(h, k, signed, window) == rows[:k + 1], (h, k)
+            assert _factor_rows(h, signed, lo, [hi] * (k + 1)) == rows[:k + 1], (h, k)
+        tops = [hi, hi, 4, 1, 0]
+        assert _factor_rows(h, signed, lo, tops) == [
+            _trim(rlo, row[:max(top - rlo + 1, 0)]) for (rlo, row), top in zip(rows, tops)], h
 
 
 def sha256_terms(series):

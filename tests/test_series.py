@@ -296,6 +296,15 @@ def test_log_of_pair_series_matches_power_sum_where_trusted(y_max, z_max, signed
     assert all(fast.coeff(cls, k) == slow.coeff(cls, k) for cls, k in keys)
 
 
+def test_terms_are_ints_exactly_over_denominator_one():
+    whole = MultiSeries(3, (-2, 2), {(X, 1): 3, (CurveClass(1, 1), -2): Fraction(-4, 2)})
+    half = whole + MultiSeries(3, (-2, 2), {(X, 0): Fraction(1, 2)})
+    assert whole._den == 1 and half._den == 2
+    assert [type(v) for _, _, v in whole.terms()] == [int, int]
+    assert [type(v) for _, _, v in half.terms()] == [Fraction] * 3
+    assert list(half.terms()) == [(X, 0, Fraction(1, 2)), (X, 1, 3), (CurveClass(1, 1), -2, -2)]
+
+
 def test_exp_of_window_without_constant_term_is_zero():
     a = MultiSeries(3, (1, 6), {(X, 1): Fraction(1, 2), (CurveClass(1, 1), 2): 3})
     assert exp(a).is_zero()
@@ -531,7 +540,7 @@ def test_graded_recurrence_packs_each_row_once_per_width(monkeypatch):
     # of the input, of the output and the constant 1.  The pack counts
     # are those recorded when that cache came in
     captured = []
-    monkeypatch.setattr(ptseries, "exp", lambda a: captured.append(a) or exp(a))
+    monkeypatch.setattr(ptseries, "exp", lambda a, tops=None: captured.append(a) or exp(a, tops))
     pt_main(PTParams(10, 12))
     calls = []
 
@@ -757,6 +766,13 @@ def row_pairs(draw):
 @given(row_pairs())
 def test_kronecker_row_sum_matches_schoolbook(pairs):
     assert _row_sum([(1, a, b) for a, b in pairs]) == row_sum_by_schoolbook(pairs)
+
+
+@given(row_pairs(), st.integers(-22, 22), st.integers(-22, 22))
+def test_row_sum_reads_back_exactly_the_window(pairs, lo, hi):
+    rlo, row = row_sum_by_schoolbook(pairs)
+    want = _trim(max(lo, rlo), row[max(lo - rlo, 0):max(hi - rlo + 1, 0)])
+    assert _row_sum([(1, a, b) for a, b in pairs], None, (lo, hi)) == want
 
 
 def test_row_sum_of_cancelling_pairs_is_empty():
