@@ -6,7 +6,8 @@ Every subcommand emits a single report, JSON by default:
 
 Rational values are serialized as "p/q" strings, integer tables as bare
 decimal strings, so reports are byte-identical across runs.  Exit codes:
-0 success, 1 a verification or consistency check failed, 2 usage error.
+0 success; 1 a verification or consistency check failed, or the engine
+failed, reported in result.error; 2 usage error.
 """
 
 from __future__ import annotations
@@ -231,12 +232,9 @@ def run(config: RunConfig) -> int:
     """Execute one subcommand, write its report, return the exit status."""
     try:
         result, mismatches = _SUBCOMMANDS[config.subcommand].run(config)
-    except ConsistencyError as err:
+    except (ConsistencyError, ValueError) as err:
         result = {"error": str(err)}
-        mismatches = [{"entry": [str(x) for x in off]} for off in err.offenders]
-    except ValueError as err:
-        sys.stderr.write(f"localk3: {err}\n")
-        return 2
+        mismatches = [{"entry": [str(x) for x in off]} for off in getattr(err, "offenders", ())]
     if config.fmt == "csv":
         text = _to_csv(config, result)
     else:
@@ -250,7 +248,7 @@ def run(config: RunConfig) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if not mismatches else EXIT_VERIFY
+    return EXIT_VERIFY if mismatches or "error" in result else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

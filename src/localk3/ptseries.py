@@ -23,7 +23,9 @@ with h(gamma) = gamma^2/2 + 1.  Three builds of the pair series check one anothe
   variant is prod (1 + (-1)^(n-1) y^beta z^{+-n})^{+(n+2r) chi(...)}.
 
 * pt_xbar: the series of the base change, whose exponent reads S's index
-  set as (+-r, z) with orientation eps(r + n) and N = 2J; it equals PT^2.
+  set as (r', z) = (r, n) and (-r, -n) with orientation eps(r' + z) and
+  N = 2J.  On that set eps(r' + z)(z + 2r') = n + 2r, as r + n > 0, so
+  the exponent is exactly 2S, and the series is exp(2S) = PT^2.
 
 One genus reader, _genus_table, decomposes one palindromic row per genus
 h in the basis (z - 2 + 1/z)^g.  bps_extract hands it the rows of 1/Delta;
@@ -101,12 +103,6 @@ def _gv_need(y_max: int) -> int:
     return _depth(y_max) + _depth(y_max - 1) + 2 if y_max else 0
 
 
-def _eps(m: int) -> int:
-    if m == 0:
-        raise ConsistencyError("orientation weight hit r + n = 0")
-    return 1 if m > 0 else -1
-
-
 def _signed_weight(n: int) -> int:
     # (-1)^(n-1) for the z^{+-n} factor, n = |z-exponent|
     return -1 if n % 2 == 0 else 1
@@ -124,12 +120,12 @@ def _reported(series: MultiSeries, params: PTParams, label: str) -> MultiSeries:
     return out
 
 
-def _exponent(params: PTParams, oriented: bool = False) -> MultiSeries:
+def _exponent(params: PTParams) -> MultiSeries:
     """The exponent sum w(r, z) J(r, beta, r + |z|) y^beta z^z over the index
     set of S (see the module docstring), on the padded window.  The weight
-    is w = (n + 2r), n = |z|, times (-1)^(n-1) if params.signed; oriented,
-    it is the base change's w = 2 eps(r' + z) (z + 2r'), N = 2J read on
-    r' = r for z >= 0 and r' = -r for z < 0.
+    is w = (n + 2r), n = |z|, times (-1)^(n-1) if params.signed.  The base
+    change's weight eps(r' + z)(z + 2r'), read on r' = r for z >= 0 and
+    r' = -r for z < 0, is n + 2r on this index set, so its exponent is 2S.
 
     J(r, beta, r + n) sums chi(Hilb^{(beta^2/2 - r(r+n))/k^2 + 1}) / k^2
     over k | gcd(div beta, r, n), so it vanishes unless r(r+n) <= bound =
@@ -158,13 +154,10 @@ def _exponent(params: PTParams, oriented: bool = False) -> MultiSeries:
                     if key not in js:
                         j = conjectural_J(MukaiVector(r, beta, r + n))
                         js[key] = j.numerator * (den // j.denominator)
-                    if oriented:  # N = 2J at (r', z) = (r, n) and (-r, -n)
-                        up, down = 2 * _eps(r + n) * (n + 2 * r), 2 * _eps(-r - n) * (-n - 2 * r)
-                    else:
-                        up = down = sign[n] * (n + 2 * r)
-                    row[n - lo] += up * js[key]
+                    term = sign[n] * (n + 2 * r) * js[key]
+                    row[n - lo] += term
                     if r and n:  # the window is symmetric
-                        row[-n - lo] += down * js[key]
+                        row[-n - lo] += term
         blocks[beta.weight][beta.a] = (lo, rows[square, g])
     return MultiSeries._of(params.y_max, window, den, blocks)
 
@@ -185,8 +178,9 @@ def _factor_rows(h: int, signed: bool, lo: int,
 
         F_h = prod_z (1 - t z^z)^(-e(h, z)),  signed: prod_z (1 + (-1)^(n-1) t z^z)^e(h, z)
 
-    with e = ky_pairs_euler and n = |z|.  For K = 1 that is f_1 = the
-    KY row, signed term by term.  Otherwise each z's binomial, read from
+    with e = ky_pairs_euler and n = |z|: each z's binomial is
+    (1 + sign t z^z)^power, its pair chosen once per z.  For K = 1, f_1 is
+    the linear terms sign * power.  Otherwise each z's binomial, read from
     pow_binomial with the fiber class standing for t, is applied in place
     from f_K down, so a shift-and-add only reads rows that this binomial
     has not touched.  A shift by z >= 0 reads f_j below the top of f_k,
@@ -201,13 +195,11 @@ def _factor_rows(h: int, signed: bool, lo: int,
         e = ky_pairs_euler(h, z)
         if not e:
             continue
+        sign, power = (_signed_weight(abs(z)), e) if signed else (-1, -e)
         if k_max == 1:
-            rows[1][z - lo] = e * _signed_weight(abs(z)) if signed else e
+            rows[1][z - lo] = sign * power
             continue
-        if signed:
-            factor = pow_binomial(FIBER, z, _signed_weight(abs(z)), e, k_max, (lo, hi))
-        else:
-            factor = pow_binomial(FIBER, z, -1, -e, k_max, (lo, hi))
+        factor = pow_binomial(FIBER, z, sign, power, k_max, (lo, hi))
         steps = [(k, s, c) for k, block in enumerate(factor._blocks) if k
                  for s, (c,) in block.values()]
         for top in range(k_max, 0, -1):
@@ -282,10 +274,12 @@ def pt_xbar(params: PTParams) -> MultiSeries:
         prod_{beta, (r, n) in I} exp((n + 2r) N(r, beta, n) y^beta z^n)^{eps(r+n)}
 
     with I = {rn > 0} u {r = 0, n > 0} u {r > 0, n = 0}, which is the
-    index set of the exponent read as (r, z) for z >= 0 and (-r, z) for z < 0."""
+    index set of the exponent read as (r', z) = (r, n) for z >= 0 and
+    (-r, -n) for z < 0.  There eps(r' + z)(z + 2r') = n + 2r and N = 2J,
+    so the exponent is 2S and the series is exp(2S)."""
     if params.signed:
         raise ValueError("the base-change series has no signed variant")
-    return _reported(exp(_exponent(params, oriented=True), _tops(params)), params, "pt_xbar")
+    return _reported(exp(_exponent(params).scale(2), _tops(params)), params, "pt_xbar")
 
 
 def ky_pairs_euler(h: int, n: int) -> int:

@@ -282,9 +282,13 @@ class MultiSeries:
         return self + (-other)
 
     def scale(self, k: Coeff) -> MultiSeries:
+        """k times the series; a row object that several classes share is
+        scaled once, and stays shared."""
         k = _exact(k)
+        rows = {id(row): [v * k.numerator for v in row]
+                for block in self._blocks for _, row in block.values()}
         return MultiSeries._of(self.y_max, self.z_window, self._den * k.denominator, [
-            {a: (lo, [v * k.numerator for v in row]) for a, (lo, row) in block.items()}
+            {a: (lo, rows[id(row)]) for a, (lo, row) in block.items()}
             for block in self._blocks])
 
     def __mul__(self, other: MultiSeries | Coeff) -> MultiSeries:

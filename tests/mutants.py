@@ -70,6 +70,10 @@ MUTANTS = (
            (f"{S}test_qz_invert_widens_the_slot_with_a_non_unit_lead",
             f"{S}test_block_product_with_scalars_and_a_shared_cache_matches_schoolbook",
             f"{M}test_recurrence_build_matches_inverted_delta[40]")),
+    Mutant("scale-copies-rows-per-class", "series.py",
+           "{a: (lo, rows[id(row)]) for a, (lo, row) in block.items()}",
+           "{a: (lo, [v * k.numerator for v in row]) for a, (lo, row) in block.items()}",
+           (f"{P}test_scaled_exponent_keeps_its_rows_shared",)),
     Mutant("multiseries-gcd-skipped", "series.py",
            "if g > 1:\n                den //= g", "if False:\n                den //= g",
            (f"{S}test_stored_form_is_canonical",
@@ -106,8 +110,8 @@ MUTANTS = (
            (f"{P}test_exponent_drops_no_factor",
             f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
             f"{P}test_pairs_path_digests_at_y_8")),
-    Mutant("xbar-weight-drops-eps", "ptseries.py",
-           "2 * _eps(-r - n) * (-n - 2 * r)", "2 * (-n - 2 * r)",
+    Mutant("xbar-exponent-not-doubled", "ptseries.py",
+           ".scale(2)", ".scale(1)",
            (f"{P}test_exponent_drops_no_factor",
             f"{P}test_exponent_is_the_multiple_cover_sum_of_ky_counts",
             f"{P}test_xbar_squares_the_pair_series",
@@ -126,7 +130,7 @@ MUTANTS = (
             f"{P}test_borcherds_in_place_matches_product_by_mul",
             f"{P}test_product_form_equals_exponential_form")),
     Mutant("borcherds-linear-row-unsigned", "ptseries.py",
-           "e * _signed_weight(abs(z)) if signed else e", "e",
+           "rows[1][z - lo] = sign * power", "rows[1][z - lo] = e",
            (f"{P}test_factor_rows_match_the_product_by_mul[True]",
             f"{P}test_borcherds_in_place_matches_product_by_mul[True]",
             f"{P}test_product_form_equals_exponential_form")),

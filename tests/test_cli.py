@@ -206,3 +206,30 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     assert json.loads(out)["mismatches"] == [
         {"q": 0, "z": 0, "left": "1/1", "right": "2/1"}]
 
+
+def test_consistency_error_without_offenders_exit_code(monkeypatch, capsys):
+    def fake_inv_delta(q_max):
+        raise cli.ConsistencyError("q^3 row of 1/Delta is not integral")
+
+    monkeypatch.setattr(cli, "inv_delta", fake_inv_delta)
+    code, out = run_cli(capsys, "bps", "--q-max", "4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["result"] == {"error": "q^3 row of 1/Delta is not integral"}
+    assert report["mismatches"] == []
+
+
+def test_engine_value_error_exit_code(monkeypatch, capsys):
+    # every usage check runs in _validate, so a ValueError from the engine
+    # is a failed run: a report and exit 1, not a usage error
+    def fake_pt_main(params):
+        raise ValueError("engine refused the window")
+
+    monkeypatch.setattr(cli, "pt_main", fake_pt_main)
+    code = cli.main(["pt", "--y-max", "2", "--z-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["result"] == {"error": "engine refused the window"}
+    assert report["mismatches"] == []

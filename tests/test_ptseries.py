@@ -188,6 +188,20 @@ def test_exponent_rows_are_shared_by_square_and_divisibility(monkeypatch):
     assert len(rows) == 34 and all(len(ids) == 1 for ids in rows.values())
 
 
+def test_scaled_exponent_keeps_its_rows_shared():
+    # pt_xbar hands exp 2S: scale builds one row per shared row object, as
+    # many as S has, with the values of a class-by-class scale
+    s = ptseries._exponent(PTParams(10, 12))
+    doubled = s.scale(2)
+
+    def distinct(series):
+        return {id(row) for block in series._blocks for _, row in block.values()}
+
+    assert len(distinct(s)) == len(distinct(doubled)) == 34
+    assert doubled == MultiSeries(s.y_max, s.z_window,
+                                  {(cls, k): 2 * v for cls, k, v in s.terms()})
+
+
 def test_J_is_looked_up_once_per_key(monkeypatch):
     keys = []
 
