@@ -7,7 +7,7 @@ Every subcommand emits a single report, JSON by default:
 Rational values are serialized as "p/q" strings, integer tables as bare
 decimal strings, so reports are byte-identical across runs.  Exit codes:
 0 success; 1 a verification or consistency check failed, or the engine
-failed, reported in result.error; 2 usage error.
+failed, reported in result.error (JSON under either --format); 2 usage error.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ def run(config: RunConfig) -> int:
     except (ConsistencyError, ValueError) as err:
         result = {"error": str(err)}
         mismatches = [{"entry": [str(x) for x in off]} for off in getattr(err, "offenders", ())]
-    if config.fmt == "csv":
+    if config.fmt == "csv" and "error" not in result:
         text = _to_csv(config, result)
     else:
         config_echo = {k: v for k, v in asdict(config).items()

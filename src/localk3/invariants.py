@@ -1,7 +1,7 @@
 """Euler characteristics of Hilbert schemes and the multiple-cover count J.
 
 chi(Hilb^n) of a K3 is the q^n coefficient of prod_{k>=1} (1-q^k)^{-24},
-computed by _eta_power as eight divisions by Jacobi's eta^3; by convention
+computed by _eta_power in one pass of the power rule; by convention
 chi(Hilb^m) = 0 for m < 0.  For a nonzero Mukai vector v the rational count
 
     J(v) = sum_{k >= 1, k | div(v)} (1/k^2) chi(Hilb^{<v/k, v/k>/2 + 1})
@@ -13,32 +13,32 @@ class (1, 0, 1).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter, mul
+from operator import mul
 
 from .lattice import MukaiVector
+from .series import ConsistencyError
 
 
 def _eta_power(e: int, n: int) -> list[int]:
     """Coefficients of prod_{k>=1} (1-q^k)^e up to q^n, for any integer e.
 
-    |e| // 3 steps by Jacobi's eta^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)
-    and |e| % 3 by Euler's eta = sum_{k in Z} (-1)^k q^(k(3k-1)/2).  With c
-    the step's series, f_m += sum_{s>0} c_s f_(m-s) top down multiplies by c,
-    and f_m -= the same sum bottom up divides by c; c_0 = 1 keeps f integral.
+    From g f' = e g' f, with f = g^e and Euler's eta g = sum_{k in Z} (-1)^k
+    q^(k(3k-1)/2): m f_m = sum_{0<s<=m} ((e+1) s - m) g_s f_(m-s), summed over
+    the taps s with g_s = +1 and with g_s = -1.  A remainder is an engine fault.
     """
-    f, ids = [1] + [0] * n, list(range(n + 1))  # the getters share these ints, to save memory
-    ks = [k for k in range(-n, n + 1) if k * k <= 2 * n]
-    jacobi = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in ks if k >= 0]
-    euler = sorted((k * (3 * k - 1) // 2, (-1) ** (k % 2)) for k in ks)
-    for series, steps in ((jacobi, abs(e) // 3), (euler, abs(e) % 3)):
-        if steps:  # the tap s = 0 keeps f_m, and s = 1 makes every get return a tuple
-            coeffs = [c if e > 0 or not s else -c for s, c in series]
-            taps = [(m, itemgetter(*[ids[m - s] for s, _ in series if s <= m])) for m in ids[1:]]
-            for m, get in (taps[::-1] if e > 0 else taps) * steps:
-                f[m] = sum(map(mul, coeffs, get(f)))
+    ks = [k for k in range(-n, n + 1) if 0 < k * (3 * k - 1) // 2 <= n]
+    plus, minus = (sorted(k * (3 * k - 1) // 2 for k in ks if k % 2 == odd) for odd in (0, 1))
+    f = [1] + [0] * n
+    for m in range(1, n + 1):
+        a, b = ([f[m - s] for s in taps[:bisect(taps, m)]] for taps in (plus, minus))
+        f[m], r = divmod((e + 1) * (sum(map(mul, plus, a)) - sum(map(mul, minus, b)))
+                         - m * (sum(a) - sum(b)), m)
+        if r:
+            raise ConsistencyError(f"q^{m} coefficient of eta^{e} is not an integer")
     return f
 
 

@@ -179,9 +179,12 @@ MUTANTS = (
            (f"{P}test_mobius_strip_matches_the_recursive_strip[True-6-30]",
             f"{P}test_gv_extract_matches_bps_table",
             f"{P}test_gv_extract_flags_a_non_palindromic_row")),
-    Mutant("eta-power-jacobi-coefficient", "invariants.py",
-           "(-1) ** k * (2 * k + 1))", "(-1) ** k * (2 * k + 1) + (k == 3))",
-           (f"{I}test_hilb_matches_exponential_oracle_to_200", f"{I}test_hilb_table_2000_digest")),
+    Mutant("eta-power-e-plus-one-to-e", "invariants.py",
+           "(e + 1) * (sum(", "e * (sum(",
+           (f"{I}test_hilb_table_2000_digest", f"{I}test_eta_power_matches_pentagonal_powering")),
+    Mutant("eta-power-m-off-by-one", "invariants.py",
+           "- m * (sum(", "- (m - 1) * (sum(",
+           (f"{I}test_hilb_table_2000_digest", f"{I}test_eta_power_matches_pentagonal_powering")),
     Mutant("inv-delta-drops-20-sigma", "modular.py",
            "(20 * flat + 2 * shifted)", "(2 * shifted)",
            (f"{M}test_inv_delta_first_rows",

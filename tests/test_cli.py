@@ -233,3 +233,23 @@ def test_engine_value_error_exit_code(monkeypatch, capsys):
     report = json.loads(captured.out)
     assert report["result"] == {"error": "engine refused the window"}
     assert report["mismatches"] == []
+
+
+@pytest.mark.parametrize("subcommand,engine,flags", [
+    ("pt", "pt_main", ["--y-max", "2", "--z-max", "3"]),
+    ("hilb", "hilb_table", ["--max", "5"]),
+])
+def test_csv_failure_writes_the_json_report(monkeypatch, capsys, subcommand, engine, flags):
+    # a failed run has no table for the CSV writer, so it reports JSON in either format
+    def fail(*args):
+        raise cli.ConsistencyError("q^3 coefficient is not an integer", [("q", 3)])
+
+    monkeypatch.setattr(cli, engine, fail)
+    code = cli.main([subcommand, *flags, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["config"]["fmt"] == "csv"
+    assert report["result"] == {"error": "q^3 coefficient is not an integer"}
+    assert report["mismatches"] == [{"entry": ["q", "3"]}]

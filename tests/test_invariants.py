@@ -60,19 +60,20 @@ def hilb_by_inverse(n):
 HILB_2000_SHA256 = "215125a3f4790f1b5f6d269820ba0da012c752e0b9d23829ca07d585bbb3b3ce"
 
 
-@pytest.mark.parametrize("e", [0, 1, 18, 24])
+@pytest.mark.parametrize("e", [-24, -5, -2, -1, 0, 1, 2, 5, 18, 24])
 def test_eta_power_matches_pentagonal_powering(e):
-    got = _eta_power(e, 300)
-    assert got == eta_by_pentagonal(e, 300)
-    assert all(type(x) is int for x in got)
-    for n in range(6):
-        assert _eta_power(e, n) == eta_by_pentagonal(e, n)
+    # a negative power is checked as the inverse of the positive one
+    for n in [*range(6), 300]:
+        got = _eta_power(e, n)
+        assert all(type(x) is int for x in got)
+        if e >= 0:
+            assert got == eta_by_pentagonal(e, n)
+        else:
+            assert poly_mul_trunc(got, eta_by_pentagonal(-e, n), n) == [1] + [0] * n
 
 
 @given(st.integers(-30, 30), st.integers(0, 80))
 def test_eta_power_times_its_inverse_is_one(e, n):
-    # e runs over all residues mod 3 of both signs, so eta^3 and eta steps
-    # are taken both multiplying and dividing
     assert poly_mul_trunc(_eta_power(e, n), _eta_power(-e, n), n) == [1] + [0] * n
     if e >= 0:
         assert _eta_power(e, n) == eta_by_pentagonal(e, n)
