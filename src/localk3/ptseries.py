@@ -27,10 +27,10 @@ with h(gamma) = gamma^2/2 + 1.  Three builds of the pair series check one anothe
   N = 2J.  On that set eps(r' + z)(z + 2r') = n + 2r, as r + n > 0, so
   the exponent is exactly 2S, and the series is exp(2S) = PT^2.
 
-One genus reader, _genus_table, decomposes one palindromic row per genus
-h in the basis (z - 2 + 1/z)^g.  bps_extract hands it the rows of 1/Delta;
-gv_extract strips the multiple covers from log(PT) by Moebius inversion on
-integer rows and hands it one checked kernel row per beta^2.
+One genus reader, _genus_table, decomposes one palindromic integer row per
+genus h in the basis (z - 2 + 1/z)^g, by _genus_row.  bps_extract hands it
+the rows of 1/Delta; gv_extract strips the multiple covers from log(PT) by
+Moebius inversion on integer rows and hands it one checked kernel row per beta^2.
 
 Every z-window reads _depth(w) = max(0, beta^2/2) over weights <= w: no
 class-beta term of S, exp(S) or log(exp(S)) lies below z^-_depth(weight beta),
@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .invariants import conjectural_J, hilb_euler
 from .lattice import FIBER, CurveClass, MukaiVector, enumerate_effective
 from .modular import DeltaSeries, delta
-from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _Packs,
-                     _row_sum, _trim, exp, log, pow_binomial, qz_invert)
+from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSeries, _genus_row,
+                     _Packs, _row_sum, _trim, exp, log, pow_binomial, qz_invert)
 
 
 @dataclass(frozen=True)
@@ -302,15 +301,26 @@ def ky_pairs_euler(h: int, n: int) -> int:
     return total
 
 
-def ky_identity_check(q_max: int, z_window: int,
-                      pairs: Callable[[int, int], int] = ky_pairs_euler) -> list:
-    """Compare sum_{h, n} chi(P_n, h) z^n q^{h-1} against 1/Delta.
+def _ky_row(h: int, w: int) -> list[int]:
+    """ky_pairs_euler(h, n), n = -w..w, in one pass: each r(r + m) <= h adds
+    (m + 2r) chi(Hilb^{h - r(r+m)}) to z^m, and to z^-m when r, m >= 1."""
+    row = [0] * (2 * w + 1)
+    for r in range(math.isqrt(h) + 1):
+        for m in range(min(w, h // r - r if r else w) + 1):
+            row[w + m] += (term := (m + 2 * r) * hilb_euler(h - r * (r + m)))
+            if r and m:
+                row[w - m] += term
+    return row
 
-    1/Delta is qz_invert of the triple-product Delta, not inv_delta's
-    recurrence, so the identity is checked against Delta itself.  The
-    stable-pairs side is multiplied by the kernel z - 2 + 1/z, so
-    both sides are Laurent polynomials rowwise.  Rows are compared on
-    |z-exponent| <= z_window - 1, the part the window determines.
+
+def ky_identity_check(q_max: int, z_window: int,
+                      pairs: Callable[[int, int], list] = _ky_row) -> list:
+    """Compare sum_{h, n} chi(P_n, h) z^n q^{h-1}, whose genus-h row on
+    |n| <= z_window is pairs(h, z_window), against 1/Delta: qz_invert of the
+    triple-product Delta, not inv_delta's recurrence, so the identity is
+    checked against Delta itself.  The stable-pairs side is multiplied by
+    the kernel z - 2 + 1/z, so both sides are Laurent polynomials rowwise,
+    compared on |z-exponent| <= z_window - 1, the part the window determines.
     Returns the list of mismatches (q_exp, z_exp, left, right)."""
     if q_max < -1:
         raise ValueError("q_max must be >= -1")
@@ -318,15 +328,13 @@ def ky_identity_check(q_max: int, z_window: int,
         raise ValueError("z_window too small to determine any coefficient")
     inv = qz_invert(delta(q_max + 2))
     rhs = DeltaSeries(inv.q_min, inv.q_max, inv._rows)
-    top = z_window - 1
     mismatches = []
     for m in range(-1, q_max + 1):
-        h = m + 1
-        left = LaurentPoly({n: pairs(h, n) for n in range(-z_window, z_window + 1)}) * KY_KERNEL
+        left = LaurentPoly(dict(enumerate(pairs(m + 1, z_window), -z_window))) * KY_KERNEL
         right = rhs.row(m)
         diff = left - right  # exact whatever the two denominators are
         mismatches += [(m, j, left.coeff(j), right.coeff(j))
-                       for j, v in enumerate(diff._row, diff._lo) if v and abs(j) <= top]
+                       for j, v in enumerate(diff._row, diff._lo) if v and abs(j) < z_window]
     return mismatches
 
 
@@ -337,61 +345,31 @@ class BPSTable:
     entries: dict
     computed_h: frozenset
 
-    def get(self, g: int, h: int) -> Fraction:
-        return self.entries.get((g, h), Fraction(0))
+    def get(self, g: int, h: int) -> int:
+        return self.entries.get((g, h), 0)
 
     def mismatches_on_overlap(self, other: BPSTable) -> list:
-        """Entry-by-entry differences over the h both tables computed."""
-        out = []
-        for h in sorted(self.computed_h & other.computed_h):
-            gs = {g for (g, hh) in self.entries if hh == h}
-            gs |= {g for (g, hh) in other.entries if hh == h}
-            for g in sorted(gs):
-                a, b = self.get(g, h), other.get(g, h)
-                if a != b:
-                    out.append((g, h, a, b))
-        return out
-
-
-def _kernel_rows(g_max: int) -> list[list[int]]:
-    """The half-rows of (z - 2 + 1/z)^g, g = 0..g_max: entry j of row g is
-    its z^j coefficient, j = 0..g.  Each row is the one before times the
-    kernel, read on j >= 0 through the palindromy z^-1 <-> z^1."""
-    rows = [[1]]
-    for g in range(g_max):
-        r = rows[-1] + [0, 0]
-        rows.append([r[abs(j - 1)] - 2 * r[j] + r[j + 1] for j in range(g + 2)])
-    return rows
-
-
-def _kernel_decompose(p: LaurentPoly, kernel: list[list[int]]) -> dict[int, Fraction]:
-    """Write a palindromic Laurent polynomial as sum c_g (z - 2 + 1/z)^g,
-    with kernel = _kernel_rows(g_max) for some g_max >= the degree of p.
-
-    The g-th basis element has top term z^g with coefficient 1, so
-    elimination from the top degree down is triangular and exact; by
-    palindromy it runs on the half-row of exponents j >= 0."""
-    if not p.is_palindromic():
-        raise ValueError("polynomial is not palindromic in z")
-    if p.is_zero():
-        return {}
-    work = p._row[-p._lo:]
-    out: dict[int, Fraction] = {}
-    for g in range(len(work) - 1, -1, -1):
-        c = work[g]
-        if c:
-            out[g] = Fraction(c, p._den)
-            work[:g + 1] = [v - k * c for v, k in zip(work, kernel[g])]
-    return out
+        """Entry-by-entry differences (g, h, a, b) over the h both tables computed."""
+        both = self.computed_h & other.computed_h
+        keys = sorted({(h, g) for g, h in (*self.entries, *other.entries) if h in both})
+        return [(g, h, self.get(g, h), other.get(g, h)) for h, g in keys
+                if self.get(g, h) != other.get(g, h)]
 
 
 def _genus_table(rows: dict[int, LaurentPoly]) -> BPSTable:
-    """The BPS table whose genus-h row rows[h], a palindromic Laurent
-    polynomial, is sum_g (-1)^g r_{g,h} (z - 2 + 1/z)^g, solved
-    triangularly against one kernel table."""
-    kernel = _kernel_rows(max((len(p._row) // 2 for p in rows.values()), default=0))
-    return BPSTable({(g, h): c if g % 2 == 0 else -c for h, p in rows.items()
-                     for g, c in _kernel_decompose(p, kernel).items()}, frozenset(rows))
+    """The BPS table, in ints, whose genus-h row rows[h] is sum_g (-1)^g r_{g,h}
+    (z - 2 + 1/z)^g; the basis change is unitriangular, so a row is integral
+    exactly when its r_{g,h} are, and one that is not is a ConsistencyError."""
+    entries = {}
+    for h, p in rows.items():
+        if not p.is_palindromic():
+            raise ValueError(f"genus-{h} row is not palindromic in z")
+        if p._den != 1:
+            raise ConsistencyError(f"genus-{h} row is not integral",
+                                   [(h, j, c) for j, c in p.items()])
+        entries.update(((g, h), -d if g % 2 else d)
+                       for g, d in enumerate(_genus_row(p._row[-p._lo:])) if d)
+    return BPSTable(entries, frozenset(rows))
 
 
 def bps_extract(source: QZSeries, q_max: int) -> BPSTable:

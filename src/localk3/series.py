@@ -12,19 +12,19 @@ Two series types, both with exact coefficients; a float is refused:
 
 Both store integer numerators over an explicit denominator, reduced so
 that equal values are stored alike; a Fraction appears only where a
-coefficient goes in or comes out, and a MultiSeries over denominator 1
-hands its coefficients out as plain ints.  A LaurentPoly, and so each QZSeries
+coefficient goes in or comes out, and a series over denominator 1 hands
+its coefficients out as plain ints.  A LaurentPoly, and so each QZSeries
 row, is a dense row with nonzero ends over its own denominator.  A
 MultiSeries stores integer blocks: per weight, the class coordinate a
 maps to such a z-row, all over one denominator.  Every product
 convolves integer rows in _row_sum, the one Kronecker-substitution
 driver: _pack makes a row a big integer with fixed-width slots, so each
 row product is one big-integer product, and _unpack_sum reads a sum of
-such products back.  Its docstring holds the one slot proof.  qz_mul,
+such products, or _genus_row's change of basis, back.  qz_mul,
 qz_invert, MultiSeries sums and products, and the grading recurrence
 each share one pack cache over all their calls, so each row is packed
-once per slot width; a LaurentPoly product passes no cache.  exp and
-log share that one recurrence.  Products, sums, exp, log and QZSeries
+once per slot width; a LaurentPoly product passes no cache.  exp and log
+share that one recurrence.  Products, sums, exp, log and QZSeries
 inverses all run on the stored rows directly.
 """
 
@@ -102,12 +102,14 @@ class LaurentPoly:
         out._den, out._lo, out._row = den // g, lo, row if g == 1 else [v // g for v in row]
         return out
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int) -> Coeff:
         i = e - self._lo
-        return Fraction(self._row[i], self._den) if 0 <= i < len(self._row) else Fraction(0)
+        v = self._row[i] if 0 <= i < len(self._row) else 0
+        return v if self._den == 1 else Fraction(v, self._den)
 
-    def items(self) -> list[tuple[int, Fraction]]:
-        return [(e, Fraction(v, self._den)) for e, v in enumerate(self._row, self._lo) if v]
+    def items(self) -> list[tuple[int, Coeff]]:
+        return [(e, v if self._den == 1 else Fraction(v, self._den))
+                for e, v in enumerate(self._row, self._lo) if v]
 
     def is_zero(self) -> bool:
         return not self._row
@@ -494,7 +496,7 @@ def _row_sum(pairs: list, cache: _Packs | None = None,
     c a nonzero integer and a, b dense integer rows, as a trimmed row, by
     Kronecker substitution; with a window (lo, hi), only the slots of
     z^lo..z^hi are read back.  Every product of rows runs through here,
-    and nothing else calls _pack or _unpack_sum.
+    and only _genus_row besides calls _pack or _unpack_sum.
 
     Each distinct row v is packed into X = sum_i v_i 2^(s i).  A pair's
     product X_a X_b packs the product of its rows; shifted by the pair's
@@ -533,6 +535,26 @@ def _row_sum(pairs: list, cache: _Packs | None = None,
                 e[3:] = nb, _pack(e[0], nb)
     return _trim(*_unpack_sum([(off, x[4] * y[4] * c, x[1] + y[1] - 1)
                                for c, off, x, y in live], nb, window))
+
+
+def _genus_row(half: list[int]) -> list[int]:
+    """d_0..d_J with p = sum_g d_g u^g, u = z - 2 + 1/z, for the integer row
+    p = c_0 + sum_{j=1..J} c_j C_j, C_j = z^j + z^-j, given as [c_0, ..., c_J].
+
+    C_(j+1) = t C_j - C_(j-1), t = z + 1/z = u + 2, C_0 = 2, so by Clenshaw's
+    rule p = b_0 - b_2, b_j = c_j + t b_(j+1) - b_(j+2).  The u-polynomials b_j
+    are packed at X = 2^s, a ring map, so t b is (b << s) + 2 b, and only p is
+    read back.  Slots: [u^g] C_j = 2j/(j + g) C(j + g, 2g) >= 0 sums to C_j(3) =
+    L_2j, the Lucas numbers 2, 3, 7, 18, ..., so |d_g| <= sum_j |c_j| L_2j < 2^(s - 1)."""
+    bound, lucas, prev = 0, 2, 3  # L_0 and L_-2
+    for c in half:
+        bound += abs(c) * lucas
+        lucas, prev = 3 * lucas - prev, lucas
+    s = 8 * (nb := _slot_bytes(bound))
+    b0 = b1 = b2 = 0
+    for c in reversed(half):
+        b0, b1, b2 = c + (b0 << s) + 2 * b0 - b1, b0, b1
+    return _unpack_sum([(0, b0 - b2, len(half))], nb)[1]
 
 
 def _slot_bytes(bound: int) -> int:

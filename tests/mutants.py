@@ -82,9 +82,32 @@ MUTANTS = (
            "LaurentPoly._of(da * db, *rows[m])", "LaurentPoly._of(da, *rows[m])",
            (f"{S}test_qz_mul_matches_reference_convolution",
             f"{S}test_qz_invert_non_unit_lead_and_negative_q_min")),
-    Mutant("kernel-decompose-drops-den", "ptseries.py",
-           "out[g] = Fraction(c, p._den)", "out[g] = Fraction(c)",
-           (f"{P}test_kernel_decompose_round_trips_palindromic_polys",)),
+    Mutant("clenshaw-drops-b-j-plus-2", "series.py",
+           "+ 2 * b0 - b1, b0, b1", "+ 2 * b0, b0, b1",
+           (f"{P}test_genus_row_matches_the_elimination",
+            f"{P}test_genus_row_at_the_slot_bound",
+            f"{P}test_genus_rows_of_inv_delta_match_the_elimination",
+            f"{M}test_wall_path_digests_at_q_40")),
+    Mutant("clenshaw-t-without-2", "series.py",
+           "(b0 << s) + 2 * b0", "(b0 << s) + b0",
+           (f"{P}test_genus_row_matches_the_elimination",
+            f"{P}test_genus_row_at_the_slot_bound",
+            f"{P}test_genus_rows_of_inv_delta_match_the_elimination",
+            f"{M}test_wall_path_digests_at_q_40")),
+    Mutant("genus-bound-drops-lucas", "series.py",
+           "bound += abs(c) * lucas", "bound += abs(c)",
+           (f"{P}test_genus_row_matches_the_elimination",
+            f"{P}test_genus_row_at_the_slot_bound",
+            f"{P}test_genus_rows_of_inv_delta_match_the_elimination")),
+    Mutant("genus-row-den-unchecked", "ptseries.py",
+           "if p._den != 1:", "if False:",
+           (f"{P}test_bps_extract_rejects_a_half_integral_row",)),
+    Mutant("ky-row-mirrors-z0", "ptseries.py",
+           "if r and m:", "if r:",
+           (f"{P}test_ky_row_is_one_pass_of_ky_pairs_euler", f"{P}test_ky_identity_holds")),
+    Mutant("ky-row-r-bound-one-short", "ptseries.py",
+           "h // r - r if r else w", "h // r - r - 1 if r else w",
+           (f"{P}test_ky_row_is_one_pass_of_ky_pairs_euler", f"{P}test_ky_identity_holds")),
     Mutant("ky-check-compares-raw-numerators", "ptseries.py",
            "diff = left - right",
            "diff = LaurentPoly._of(1, left._lo, left._row) - LaurentPoly._of(1, right._lo, right._row)",

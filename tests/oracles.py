@@ -35,6 +35,38 @@ def kernel_coeff(g: int, j: int) -> int:
     return (-1) ** (g - j) * math.comb(2 * g, g - j) if abs(j) <= g else 0
 
 
+def kernel_rows(g_max: int) -> list[list[int]]:
+    """The half-rows of (z - 2 + 1/z)^g, g = 0..g_max: entry j of row g is
+    its z^j coefficient, j = 0..g.  Each row is the one before times the
+    kernel, read on j >= 0 through the palindromy z^-1 <-> z^1."""
+    rows = [[1]]
+    for g in range(g_max):
+        r = rows[-1] + [0, 0]
+        rows.append([r[abs(j - 1)] - 2 * r[j] + r[j + 1] for j in range(g + 2)])
+    return rows
+
+
+def kernel_decompose(p, kernel: list[list[int]]) -> dict[int, Fraction]:
+    """Write a palindromic LaurentPoly as sum c_g (z - 2 + 1/z)^g, with
+    kernel = kernel_rows(g_max) for some g_max >= the degree of p.
+
+    The g-th basis element has top term z^g with coefficient 1, so
+    elimination from the top degree down is triangular and exact; by
+    palindromy it runs on the half-row of exponents j >= 0."""
+    if not p.is_palindromic():
+        raise ValueError("polynomial is not palindromic in z")
+    if p.is_zero():
+        return {}
+    work = p._row[-p._lo:]
+    out: dict[int, Fraction] = {}
+    for g in range(len(work) - 1, -1, -1):
+        c = work[g]
+        if c:
+            out[g] = Fraction(c, p._den)
+            work[:g + 1] = [v - k * c for v, k in zip(work, kernel[g])]
+    return out
+
+
 def strip_covers_by_recursion(lseries, signed: bool) -> dict:
     """{beta: {z-exponent: Fraction}}: the primitive parts of a logarithm,
     f_beta = L_beta - sum_{m >= 2, m | div beta} (1/m) f_{beta/m}(z^m),

@@ -11,11 +11,12 @@ from localk3.lattice import (CurveClass, FIBER, MukaiVector, SECTION, ZERO_CLASS
 from localk3 import ptseries
 from localk3.modular import inv_delta
 from localk3.ptseries import (BPSTable, ConsistencyError, PTParams, _depth, _factor_rows,
-                              _kernel_decompose, _kernel_rows, _reported,
-                              _signed_weight, bps_extract, gv_extract, ky_identity_check,
-                              ky_pairs_euler, pt_borcherds, pt_main, pt_xbar)
-from localk3.series import KY_KERNEL, LaurentPoly, MultiSeries, _trim, exp, log, pow_binomial
-from oracles import kernel_coeff, strip_covers_by_recursion
+                              _ky_row, _reported, _signed_weight, bps_extract, gv_extract,
+                              ky_identity_check, ky_pairs_euler, pt_borcherds, pt_main,
+                              pt_xbar)
+from localk3.series import (KY_KERNEL, LaurentPoly, MultiSeries, QZSeries, _genus_row, _trim,
+                            exp, log, pow_binomial)
+from oracles import kernel_coeff, kernel_decompose, kernel_rows, strip_covers_by_recursion
 
 # SHA-256 of the sorted "a b z coefficient" lines of pt_main(PTParams(8, 10))
 # unsigned and signed, and of pt_xbar(PTParams(6, 8)), recorded from the
@@ -395,6 +396,12 @@ def test_ky_pairs_difference_identity():
             assert ky_pairs_euler(h, n) - ky_pairs_euler(h, -n) == n * hilb_euler(h)
 
 
+@pytest.mark.parametrize("h", range(46))
+def test_ky_row_is_one_pass_of_ky_pairs_euler(h):
+    assert _ky_row(h, 30) == [ky_pairs_euler(h, n) for n in range(-30, 31)]
+    assert _ky_row(h, 0) == [ky_pairs_euler(h, 0)]
+
+
 def test_ky_identity_holds():
     assert ky_identity_check(4, 8) == []
     assert ky_identity_check(-1, 3) == []
@@ -422,9 +429,11 @@ def test_ky_identity_check_rejects_bad_params():
 
 
 def test_ky_identity_flags_exactly_the_corrupted_coefficients():
-    def corrupted(h, n):
-        bump = 1 if (h, n) == (1, 1) else 0
-        return ky_pairs_euler(h, n) + bump
+    def corrupted(h, w):
+        row = _ky_row(h, w)
+        if h == 1:
+            row[w + 1] += 1
+        return row
 
     bad = ky_identity_check(2, 5, pairs=corrupted)
     # the bump spreads through the kernel: z^0, z^1, z^2 of the q^0 row
@@ -436,14 +445,18 @@ def test_ky_identity_flags_exactly_the_corrupted_coefficients():
 def test_ky_identity_compares_rational_rows_exactly():
     # a bump of 1/2 puts the whole q^0 row of the left side over 2, so a
     # comparison of raw numerators would flag every coefficient of it
-    def corrupted(h, n):
-        return ky_pairs_euler(h, n) + (Fraction(1, 2) if (h, n) == (1, 1) else 0)
+    def corrupted(h, w):
+        row = _ky_row(h, w)
+        if h == 1:
+            row[w + 1] += Fraction(1, 2)
+        return row
 
     bad = ky_identity_check(2, 5, pairs=corrupted)
     assert [(m, j) for m, j, _, _ in bad] == [(0, 0), (0, 1), (0, 2)]
     assert {j: left - right for _, j, left, right in bad} == {
         0: Fraction(1, 2), 1: -1, 2: Fraction(1, 2)}
-    assert all(type(v) is Fraction for _, _, left, right in bad for v in (left, right))
+    # a row over denominator 2 reads back in Fractions, one over 1 in ints
+    assert all(type(left) is Fraction and type(right) is int for _, _, left, right in bad)
 
 
 def test_bps_extract_low_rows():
@@ -486,14 +499,15 @@ def kernel_power(g):
 def test_kernel_closed_form_matches_repeated_product(g):
     power = kernel_power(g)
     assert power == LaurentPoly({j: kernel_coeff(g, j) for j in range(-g - 1, g + 2)})
-    assert _kernel_rows(g)[g] == [kernel_coeff(g, j) for j in range(g + 1)]
-    assert _kernel_decompose(power, _kernel_rows(g)) == {g: 1}
+    assert kernel_rows(g)[g] == [kernel_coeff(g, j) for j in range(g + 1)]
+    assert kernel_decompose(power, kernel_rows(g)) == {g: 1}
+    assert _genus_row(power._row[g:]) == [0] * g + [1]
 
 
 @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7), max_size=8))
 def test_kernel_decompose_round_trips_palindromic_polys(half):
     p = LaurentPoly({j: c for i, c in enumerate(half) for j in (i, -i)})
-    decomposition = _kernel_decompose(p, _kernel_rows(len(half)))
+    decomposition = kernel_decompose(p, kernel_rows(len(half)))
     assert all(type(c) is Fraction and c for c in decomposition.values())
     rebuilt = LaurentPoly()
     for g, c in decomposition.items():
@@ -503,14 +517,60 @@ def test_kernel_decompose_round_trips_palindromic_polys(half):
 
 def test_kernel_decompose_rejects_non_palindromic():
     with pytest.raises(ValueError):
-        _kernel_decompose(LaurentPoly({2: Fraction(1, 2), -1: 3, 0: 1}), _kernel_rows(2))
+        kernel_decompose(LaurentPoly({2: Fraction(1, 2), -1: 3, 0: 1}), kernel_rows(2))
+
+
+def genus_row_by_elimination(half):
+    p = LaurentPoly({j: c for i, c in enumerate(half) for j in (i, -i)})
+    by_g = kernel_decompose(p, kernel_rows(len(half)))
+    return [by_g.get(g, 0) for g in range(len(half))]
+
+
+@given(st.lists(st.integers(0, 2 ** 70) | st.integers(0, 300), max_size=14),
+       st.sampled_from([1, -1]), st.lists(st.sampled_from([1, -1])))
+def test_genus_row_matches_the_elimination(half, sign, signs):
+    # all of one sign fills the slots most; mixed signs cancel inside them
+    mixed = [c * s for c, s in zip(half, signs + [sign] * len(half))]
+    for row in ([sign * c for c in half], mixed):
+        assert _genus_row(row) == genus_row_by_elimination(row)
+
+
+# rows whose slot bound sum_j |c_j| L_2j (L_0 = 2, then 3, 7, 18, ...) sits
+# just under, at or just over a byte boundary, then rows that sum_j |c_j|
+# alone would put in too narrow a slot
+@pytest.mark.parametrize("half", [
+    [63], [-63], [64], [62, 1], [-62, -1], [0, 42], [0, 0, 18], [0, 0, 0, 0, 0, 1],
+    [0, 10922], [-16383], [16384, 0, 0, 0],
+    [126, 1], [-126, -1], [0] * 12 + [1], [1] * 9, [-1] * 9])
+def test_genus_row_at_the_slot_bound(half):
+    assert _genus_row(half) == genus_row_by_elimination(half)
+
+
+def test_genus_rows_of_inv_delta_match_the_elimination():
+    for m, p in inv_delta(60).rows():
+        half = p._row[-p._lo:]
+        assert _genus_row(half) == genus_row_by_elimination(half), m
 
 
 def test_bps_extract_rejects_non_palindromic():
-    from localk3.series import LaurentPoly, QZSeries
     src = QZSeries(-1, 0, {0: LaurentPoly({1: 1})})
     with pytest.raises(ValueError):
         bps_extract(src, 0)
+
+
+def test_bps_extract_rejects_a_half_integral_row():
+    # every r_{g,h} is an integer, and the basis change is unitriangular,
+    # so a row over denominator 2 cannot be a genus row
+    row = LaurentPoly({-1: Fraction(1, 2), 0: 3, 1: Fraction(1, 2)})
+    with pytest.raises(ConsistencyError) as info:
+        bps_extract(QZSeries(-1, 0, {-1: LaurentPoly({0: 1}), 0: row}), 0)
+    assert info.value.offenders == [(1, -1, Fraction(1, 2)), (1, 0, 3), (1, 1, Fraction(1, 2))]
+
+
+def test_bps_table_entries_are_ints():
+    table = bps_extract(inv_delta(12), 12)
+    assert all(type(v) is int for v in table.entries.values())
+    assert type(table.get(5, 2)) is int
 
 
 def signed_pt(y_max=3, z_max=8):
