@@ -18,7 +18,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -35,8 +34,7 @@ EXIT_VERIFY = 1
 SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     y_max: int | None = None
     z_max: int | None = None
@@ -238,7 +236,7 @@ def run(config: RunConfig) -> int:
     if config.fmt == "csv" and "error" not in result:
         text = _to_csv(config, result)
     else:
-        config_echo = {k: v for k, v in asdict(config).items()
+        config_echo = {k: v for k, v in config._asdict().items()
                        if v is not None and k != "out"}
         report = {"schema": SCHEMA, "config": config_echo,
                   "result": result, "mismatches": mismatches}

@@ -14,10 +14,10 @@ class (1, 0, 1).
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from operator import mul
+from typing import NamedTuple
 
 from .lattice import MukaiVector
 from .series import ConsistencyError
@@ -42,8 +42,7 @@ def _eta_power(e: int, n: int) -> list[int]:
     return f
 
 
-@dataclass(frozen=True)
-class HilbTable:
+class HilbTable(NamedTuple):
     """chi(Hilb^n) for 0 <= n <= max_n."""
 
     max_n: int

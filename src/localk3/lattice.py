@@ -11,19 +11,22 @@ Z + Pic + Z with pairing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """Class a*s + b*f in the Picard lattice of an elliptic K3."""
+class CurveClass(NamedTuple("CurveClass", [("a", int), ("b", int)])):
+    """Class a*s + b*f in the Picard lattice of an elliptic K3.
 
-    a: int
-    b: int
+    A tuple (a, b) underneath, so equal coordinates mean equal and
+    hash-equal classes; +, unary - and integer * are class arithmetic, never
+    tuple concatenation or repetition."""
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> CurveClass:
+        if not (isinstance(a, int) and isinstance(b, int)):
             raise ValueError("curve class coordinates must be integers")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def weight(self) -> int:
@@ -59,10 +62,12 @@ class CurveClass:
     def __neg__(self) -> CurveClass:
         return CurveClass(-self.a, -self.b)
 
-    def __rmul__(self, k: int) -> CurveClass:
+    def __mul__(self, k: int) -> CurveClass:
         if not isinstance(k, int):
             return NotImplemented
         return CurveClass(k * self.a, k * self.b)
+
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"{self.a},{self.b}"
@@ -82,9 +87,9 @@ FIBER = CurveClass(0, 1)
 POLARIZATION = CurveClass(1, 2)
 
 
-@dataclass(frozen=True)
-class MukaiVector:
-    """Triple (r, beta, n): rank, curve class, holomorphic Euler part."""
+class MukaiVector(NamedTuple):
+    """Triple (r, beta, n): rank, curve class, holomorphic Euler part;
+    a tuple with class arithmetic, like CurveClass."""
 
     r: int
     beta: CurveClass
@@ -97,9 +102,10 @@ class MukaiVector:
         return self.r == 0 and self.n == 0 and self.beta.is_zero()
 
     def divisibility(self) -> int:
-        if self.is_zero():
+        r, (a, b), n = self
+        if not (d := math.gcd(r, a, b, n)):
             raise ValueError("divisibility of the zero vector is undefined")
-        return math.gcd(math.gcd(self.r, self.n), math.gcd(self.beta.a, self.beta.b))
+        return d
 
     def divide(self, k: int) -> MukaiVector:
         """Exact division by a positive integer dividing every coordinate."""
@@ -115,10 +121,12 @@ class MukaiVector:
     def __neg__(self) -> MukaiVector:
         return MukaiVector(-self.r, -self.beta, -self.n)
 
-    def __rmul__(self, k: int) -> MukaiVector:
+    def __mul__(self, k: int) -> MukaiVector:
         if not isinstance(k, int):
             return NotImplemented
         return MukaiVector(k * self.r, k * self.beta, k * self.n)
+
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"{self.r};{self.beta};{self.n}"
@@ -201,9 +209,12 @@ class HodgeIsometry:
 
 def apply_isometry(g: HodgeIsometry, v: MukaiVector) -> MukaiVector:
     """Image g(v) = M v."""
-    x0, x1, x2, x3 = _coords(v)
-    r, a, b, n = [m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 for m0, m1, m2, m3 in g.matrix]
-    return MukaiVector(r, CurveClass(a, b), n)
+    x0, (x1, x2), x3 = v
+    (r0, r1, r2, r3), (a0, a1, a2, a3), (b0, b1, b2, b3), (n0, n1, n2, n3) = g.matrix
+    return MukaiVector(r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3,
+                       CurveClass(a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3,
+                                  b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3),
+                       n0 * x0 + n1 * x1 + n2 * x2 + n3 * x3)
 
 
 def enumerate_effective(y_max: int) -> list[CurveClass]:

@@ -47,8 +47,7 @@ those of weight y_max, and those are below -z_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .invariants import conjectural_J, hilb_euler
 from .lattice import FIBER, CurveClass, MukaiVector, enumerate_effective
@@ -57,8 +56,7 @@ from .series import (KY_KERNEL, ConsistencyError, LaurentPoly, MultiSeries, QZSe
                      _Packs, _row_sum, _trim, exp, log, pow_binomial, qz_invert)
 
 
-@dataclass(frozen=True)
-class PTParams:
+class PTParams(NamedTuple("PTParams", [("y_max", int), ("z_max", int), ("signed", bool)])):
     """Truncation parameters for the stable-pair series.
 
     work_window pads [-z_max, z_max] by z_pad = _depth(y_max - 1) on both
@@ -67,13 +65,12 @@ class PTParams:
     xbar-verify and the bench, which build pt_main on z_max + z_pad.
     """
 
-    y_max: int
-    z_max: int
-    signed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.y_max < 0 or self.z_max < 0:
+    def __new__(cls, y_max: int, z_max: int, signed: bool = False) -> PTParams:
+        if y_max < 0 or z_max < 0:
             raise ValueError("truncation parameters must be >= 0")
+        return tuple.__new__(cls, (y_max, z_max, signed))
 
     @property
     def z_pad(self) -> int:
@@ -338,8 +335,7 @@ def ky_identity_check(q_max: int, z_window: int,
     return mismatches
 
 
-@dataclass(frozen=True, eq=True)
-class BPSTable:
+class BPSTable(NamedTuple):
     """Genus-h table of BPS counts; absent entries are zero."""
 
     entries: dict

@@ -57,7 +57,10 @@ def _exact(x: Coeff) -> Coeff:
 def _numerators(coeffs: Mapping) -> tuple[int, dict]:
     """(D, {key: D * value}) for a dict of exact values, D the lcm of
     their denominators, so every value becomes an integer numerator over
-    D.  Values in lowest terms leave D and the nonzero numerators coprime."""
+    D.  Values in lowest terms leave D and the nonzero numerators coprime.
+    An all-int dict is its own numerators over 1; callers do not mutate it."""
+    if all(type(v) is int for v in coeffs.values()):
+        return 1, coeffs
     den = math.lcm(*(_exact(v).denominator for v in coeffs.values()))
     return den, {key: v.numerator * (den // v.denominator) for key, v in coeffs.items()}
 

@@ -216,6 +216,10 @@ MUTANTS = (
            "(u >> (s * l))", "(u >> (s * (l - 1)))",
            (f"{M}test_inv_delta_first_rows",
             f"{M}test_wall_path_digests_at_q_40")),
+    Mutant("curve-class-accepts-floats", "lattice.py",
+           "        if not (isinstance(a, int) and isinstance(b, int)):\n"
+           "            raise ValueError(\"curve class coordinates must be integers\")\n", "",
+           ("tests/test_lattice.py::test_curve_class_coordinates_must_be_integers",)),
 )
 
 

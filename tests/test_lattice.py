@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from localk3.lattice import (CurveClass, HodgeIsometry, MukaiVector, FIBER,
                              POLARIZATION, SECTION, ZERO_CLASS, apply_isometry,
                              enumerate_effective, mukai_pairing)
+from localk3.ptseries import PTParams
 
 
 def test_gram_matrix_values():
@@ -91,6 +94,64 @@ def test_vector_parse_str_roundtrip():
     assert MukaiVector.parse("0;2,4;-2") == MukaiVector(0, CurveClass(2, 4), -2)
     with pytest.raises(ValueError):
         MukaiVector.parse("1;2;3;4")
+
+
+def test_value_types_are_equal_and_hash_equal_by_coordinates():
+    v = MukaiVector(1, CurveClass(2, 3), 4)
+    for x, y, other in ((CurveClass(1, 2), CurveClass(1, 2), CurveClass(2, 1)),
+                        (v, MukaiVector(1, CurveClass(2, 3), 4), MukaiVector(4, v.beta, 1))):
+        assert x == y and hash(x) == hash(y) and x != other
+        assert len({x, y, other}) == 2
+
+
+def test_value_types_are_frozen():
+    beta = CurveClass(1, 2)
+    v = MukaiVector(1, beta, 0)
+    for obj, field in ((beta, "a"), (beta, "b"), (v, "r"), (v, "beta"), (v, "n")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    assert (beta, v) == (CurveClass(1, 2), MukaiVector(1, CurveClass(1, 2), 0))
+
+
+def test_curve_class_coordinates_must_be_integers():
+    for a, b in ((1.0, 2), (1, 2.0), (Fraction(1), 2), ("1", 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            CurveClass(a, b)
+
+
+def test_value_type_arithmetic_is_class_arithmetic():
+    # a tuple underneath must not turn + into concatenation or * into repetition
+    beta, gamma = CurveClass(1, 2), CurveClass(3, -1)
+    v, w = MukaiVector(1, beta, 2), MukaiVector(0, gamma, -1)
+    cases = [(beta + gamma, CurveClass(4, 1)), (-beta, CurveClass(-1, -2)),
+             (3 * beta, CurveClass(3, 6)), (beta * 3, CurveClass(3, 6)),
+             (v + w, MukaiVector(1, CurveClass(4, 1), 1)),
+             (-v, MukaiVector(-1, CurveClass(-1, -2), -2)),
+             (2 * v, MukaiVector(2, CurveClass(2, 4), 4)),
+             (v * 2, MukaiVector(2, CurveClass(2, 4), 4))]
+    for got, want in cases:
+        assert type(got) is type(want) and got == want
+        assert type(got.beta if isinstance(got, MukaiVector) else got) is CurveClass
+    for bad in (lambda: beta * 1.5, lambda: 1.5 * beta, lambda: beta * beta,
+                lambda: Fraction(2) * v, lambda: v * v):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_value_type_text_forms():
+    v = MukaiVector(-2, CurveClass(3, -7), 9)
+    assert (str(v.beta), repr(v.beta)) == ("3,-7", "CurveClass(a=3, b=-7)")
+    assert (str(v), repr(v)) == ("-2;3,-7;9",
+                                 "MukaiVector(r=-2, beta=CurveClass(a=3, b=-7), n=9)")
+
+
+def test_pt_params_keywords_and_bounds():
+    p = PTParams(y_max=3, z_max=4, signed=True)
+    assert p == PTParams(3, 4, True) and (p.y_max, p.z_max, p.signed) == (3, 4, True)
+    assert PTParams(z_max=2, y_max=1).signed is False
+    for y, z in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match=">= 0"):
+            PTParams(y_max=y, z_max=z)
 
 
 def test_generator_images():

@@ -63,6 +63,22 @@ def test_the_kronecker_kernel_is_integer_only():
     assert not hasattr(_Packs(), "integral")
 
 
+def test_cli_cold_start_imports_no_dataclasses():
+    # each subcommand is a fresh process, so import cost is paid per run;
+    # dataclasses alone pulls in inspect, ast, dis and tokenize
+    users = [path.name for path in sorted((SRC / "localk3").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert users == []
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import localk3.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_exported_names_are_pinned():
     # what the CLI, the three builds of the pair series and the benchmark
     # use; closed forms that only tests read live in tests/oracles.py
